@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import __version__
 from . import schedule as schedule_mod
@@ -134,12 +133,18 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     x_T = np.asarray(_require(pspec, "x_T", "problem"), dtype=float)
     if x_T.shape != (problem.dim,):
         raise ConfigInvalid(f"x_T shape {x_T.shape} != ({problem.dim},)")
+    if not np.all(np.isfinite(x_T)):
+        raise ConfigInvalid("x_T has non-finite entries")
     x0 = None
     if "x0" in pspec:
         x0 = np.asarray(pspec["x0"], dtype=float)
         if x0.shape != (problem.dim,):
             raise ConfigInvalid(f"x0 shape {x0.shape} != ({problem.dim},)")
+        if not np.all(np.isfinite(x0)):
+            raise ConfigInvalid("x0 has non-finite entries")
     bias = float(pspec.get("bias", 0.0))
+    if not math.isfinite(bias):
+        raise ConfigInvalid(f"bias must be finite, got {bias}")
 
     grid = _build_grid(_require(raw, "grid", "config"), sched.horizon)
     if grid.t_max != sched.horizon:
@@ -195,20 +200,16 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Write rows of Python scalars; ``csv`` writes a float as its ``repr``.
+
+    NumPy scalars must be converted first (``tolist``/``float``): ``csv``
+    would write an ``np.float64`` as ``np.float64(…)``.
+    """
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _predictor(cfg: RunConfig):
@@ -232,7 +233,7 @@ def _exp_sample(cfg: RunConfig, predictor, threads: int):
     scfg = SamplerConfig(method=cfg.method, grid=cfg.grid, seed=cfg.seed, eta=cfg.eta)
     terminal, _, calls = sample_batch(scfg, cfg.schedule, predictor, cfg.x_T, cfg.n_trajectories, threads)
     header = ["traj_id"] + [f"coord_{i}" for i in range(cfg.problem.dim)]
-    rows = [[i] + list(terminal[i]) for i in range(cfg.n_trajectories)]
+    rows = [[i, *row] for i, row in enumerate(terminal.tolist())]
     metrics = {
         "terminal_mean_norm": float(np.linalg.norm(terminal.mean(axis=0))),
         "terminal_mean_var": float(terminal.var(axis=0, ddof=1).mean()),
@@ -292,6 +293,9 @@ def _exp_drift_check(cfg: RunConfig, predictor, threads: int):
 
 
 def _exp_convergence(cfg: RunConfig, predictor, threads: int):
+    # imported on use: only this experiment needs scipy.integrate
+    from scipy.integrate import solve_ivp
+
     rows = []
     errs = []
     calls = 0
@@ -341,7 +345,7 @@ def _exp_interpolate(cfg: RunConfig, predictor, threads: int):
     for w in weights:
         eps = slerp_interpolate(eps_a, eps_b, w)
         x = decode(cfg.schedule, predictor, eps, cfg.x_T, cfg.grid)
-        rows.append([w] + list(x))
+        rows.append([w, *x.tolist()])
     header = ["w"] + [f"coord_{i}" for i in range(cfg.problem.dim)]
     return "interpolate.csv", header, rows, {"n_weights": float(len(weights))}, 0
 
@@ -502,7 +506,10 @@ def selftest() -> int:
 def _resolve_threads(flag_value: int | None) -> int:
     if flag_value is None:
         env = os.environ.get("BRIDGEKIT_THREADS")
-        flag_value = int(env) if env else 0
+        try:
+            flag_value = int(env) if env else 0
+        except ValueError as exc:
+            raise ConfigInvalid(f"BRIDGEKIT_THREADS must be an integer, got {env!r}") from exc
     if flag_value == 0:
         return os.cpu_count() or 1
     if flag_value < 0:
@@ -518,7 +525,9 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument("--out", default=None, help="output directory (overrides config)")
     runp.add_argument("--seed", type=int, default=None, help="seed override (64-bit unsigned)")
     runp.add_argument("--threads", type=int, default=None,
-                      help="worker threads; 0 = auto; falls back to BRIDGEKIT_THREADS")
+                      help="thread count, validated and reported; the engine is single-threaded, "
+                           "so it changes neither results nor speed (0 = CPU count; "
+                           "falls back to BRIDGEKIT_THREADS)")
     sub.add_parser("selftest", help="run the fast built-in verification checks")
 
     args = parser.parse_args(argv)

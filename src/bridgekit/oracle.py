@@ -19,9 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import DegenerateCoefficient, DimensionMismatch, InvalidGridParams, SingularSystem
+from .errors import (
+    BridgekitError,
+    DegenerateCoefficient,
+    DimensionMismatch,
+    InvalidGridParams,
+    SingularSystem,
+)
 from .schedule import NoiseSchedule, coeffs
 
 _MAX_DIM = 64
@@ -47,6 +53,9 @@ class GaussianBridgeProblem:
             raise DimensionMismatch(
                 f"mix {mix.shape} and cov {cov.shape} must be ({d}, {d})"
             )
+        for name, value in (("mix", mix), ("offset", offset), ("cov", cov)):
+            if not np.all(np.isfinite(value)):
+                raise InvalidGridParams(f"{name} has non-finite entries")
         if np.max(np.abs(cov - cov.T), initial=0.0) > 1e-12:
             raise InvalidGridParams("cov must be symmetric to 1e-12")
         eigvals = np.linalg.eigvalsh(cov)
@@ -150,12 +159,18 @@ class GaussianOracle:
         d = self.problem.dim
         S = self.problem.cov + _JITTER * np.eye(d)
         A = b * b * S + c * c * np.eye(d)
-        try:
-            chol = cho_factor(A)
-        except LinAlgError as exc:
-            raise SingularSystem(f"conditioning system singular at b={b}, c={c}") from exc
-        # (A⁻¹ (bS))ᵀ = bS A⁻¹ by symmetry of A and S
-        gain = cho_solve(chol, b * S).T
+        # the LAPACK routines behind cho_factor/cho_solve, called with the same
+        # arguments minus their finiteness scan; the problem's entries are
+        # checked finite on construction
+        chol, info = dpotrf(A, lower=0, clean=0)
+        if info > 0:
+            raise SingularSystem(f"conditioning system singular at b={b}, c={c}")
+        if info == 0:
+            # (A⁻¹ (bS))ᵀ = bS A⁻¹ by symmetry of A and S
+            solved, info = dpotrs(chol, b * S, lower=0)
+        if info != 0:
+            raise BridgekitError(f"LAPACK rejected argument {-info} of the gain solve at b={b}, c={c}")
+        gain = solved.T
         if len(self._gain_cache) < 65536:
             self._gain_cache[(b, c)] = gain
         return gain

@@ -15,9 +15,11 @@ and then walk the remaining grid down to t_0:
 * explicit Euler/Heun on the probability-flow ODE and Euler–Maruyama on the
   reverse SDE as baselines.
 
-Randomness is counter-based: every (seed, step, trajectory-chunk) triple
-maps to its own Philox counter block, so batch results are bitwise
-independent of thread count and scheduling.
+One engine runs every method: it advances the whole (n_traj, d) batch one
+grid step at a time on the calling thread, with one predictor call per step
+(two for Heun).  Randomness is counter-based: every (seed, step,
+trajectory-chunk) triple maps to its own Philox counter block, so a row's
+result does not depend on the batch it runs in.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import enum
 import functools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,9 +116,32 @@ def _philox_key(seed: int) -> tuple[int, int]:
     return (int(k[0]), int(k[1]))
 
 
-def _noise(seed: int, tag: int, step: int, chunk: int, shape: tuple[int, ...]) -> np.ndarray:
-    bg = np.random.Philox(counter=[0, step, chunk, tag], key=_philox_key(seed))
-    return np.random.Generator(bg).standard_normal(shape)
+class _Philox:
+    """One Philox generator keyed by a seed and re-keyed per counter block.
+
+    The key is copied from a constructed generator's state:
+    ``Philox(key=(int, int))`` rounds each key word through float64, and
+    every output byte depends on the rounded key.
+    """
+
+    def __init__(self, seed: int):
+        self.bit_generator = np.random.Philox(key=_philox_key(seed))
+        self.generator = np.random.Generator(self.bit_generator)
+        self.fresh_state = self.bit_generator.state
+
+    def normals(self, tag: int, step: int, shape: tuple[int, int]) -> np.ndarray:
+        """Standard normals; the rows of chunk i come from counter block (0, step, i, tag)."""
+        out = np.empty(shape)
+        for chunk, lo in enumerate(range(0, shape[0], _CHUNK)):
+            _noise(self, tag, step, chunk, out[lo:lo + _CHUNK])
+        return out
+
+
+def _noise(philox: _Philox, tag: int, step: int, chunk: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the normals of counter block (0, step, chunk, tag)."""
+    philox.fresh_state["state"]["counter"] = [0, step, chunk, tag]
+    philox.bit_generator.state = philox.fresh_state
+    philox.generator.standard_normal(out=out)
 
 
 @dataclass(frozen=True)
@@ -352,103 +376,80 @@ def _drift_sde(schedule: NoiseSchedule, predictor, x: np.ndarray, t: float, xT: 
 
 
 # ---------------------------------------------------------------------------
-# batched engine
+# step-major engine
 # ---------------------------------------------------------------------------
 
 
-def _chunk_dbim1(gc, rhos, schedule, predictor, xT, seed, chunk, n_rows, record):
-    d = xT.shape[0]
+class _CountingPredictor:
+    """Passes calls through to a predictor and counts them."""
+
+    def __init__(self, predictor):
+        self.predictor = predictor
+        self.calls = 0
+
+    def predict(self, x, t, xT):
+        self.calls += 1
+        return self.predictor.predict(x, t, xT)
+
+
+def _run_chunk(method, gc, rhos, schedule, predictor, xT, eps_boot, philox, record):
+    """Carry boot noises ``eps_boot`` (shape (n, d), or (d,) for one state) from T to t_0.
+
+    The whole batch advances one grid step at a time, with one predictor
+    call per step (two for Heun).  ``rhos`` are the dbim1 per-step standard
+    deviations; dbim1 and Euler–Maruyama draw per-step noise from ``philox``.
+    Returns ``(terminal, predictor calls per trajectory, states)``, where
+    ``states`` lists the state at every grid time below T when ``record`` is
+    set and is None otherwise.
+    """
     N = len(gc.times) - 1
-    eps_boot = _noise(seed, _BOOT_TAG, 0, chunk, (n_rows, d))
-    x = gc.a[N - 1] * xT + gc.b[N - 1] * predictor.predict(xT, gc.times[N], xT) + gc.c[N - 1] * eps_boot
-    calls = 1
-    states = [x.copy()] if record else None
-    for n in range(N - 2, -1, -1):
-        x_hat = predictor.predict(x, gc.times[n + 1], xT)
-        calls += 1
-        x = _implicit_update(
-            gc.a[n], gc.b[n], gc.c[n], gc.a[n + 1], gc.b[n + 1], gc.c[n + 1],
-            rhos[n], x, xT, x_hat,
-        )
-        if rhos[n] > 0.0:
-            x = x + rhos[n] * _noise(seed, _STEP_TAG, n, chunk, (n_rows, d))
-        if record:
-            states.append(x.copy())
-    return x, eps_boot, calls, states
-
-
-def _chunk_dbim_high(gc, order, schedule, predictor, xT, seed, chunk, n_rows, record):
-    d = xT.shape[0]
-    N = len(gc.times) - 1
-    eps_boot = _noise(seed, _BOOT_TAG, 0, chunk, (n_rows, d))
-    x_hat_T = predictor.predict(xT, gc.times[N], xT)
-    x = gc.a[N - 1] * xT + gc.b[N - 1] * np.broadcast_to(x_hat_T, (n_rows, d)) + gc.c[N - 1] * eps_boot
-    calls = 1
-    history: dict[int, np.ndarray] = {N: np.broadcast_to(x_hat_T, (n_rows, d)).copy()}
-    states = [x.copy()] if record else None
-    for i in range(N - 1, 0, -1):
-        lam_s, lam_t = gc.lam[i - 1], gc.lam[i]
-        x_hat = predictor.predict(x, gc.times[i], xT)
-        calls += 1
-        history[i] = x_hat
-        if order == 2 or i == N - 1:
-            integral = taylor_integral(
-                2, lam_s, lam_t, x_hat,
-                _fd_first(lam_t, x_hat, gc.lam[i + 1], history[i + 1]),
-            )
-        else:
-            d1, d2 = _fd_pair(
-                lam_t, x_hat,
-                gc.lam[i + 1], history[i + 1],
-                gc.lam[i + 2], history[i + 2],
-            )
-            integral = taylor_integral(3, lam_s, lam_t, x_hat, d1, d2)
-        c_ratio = gc.c[i - 1] / gc.c[i]
-        x = c_ratio * x + (gc.a[i - 1] - c_ratio * gc.a[i]) * xT + gc.c[i - 1] * integral
-        if record:
-            states.append(x.copy())
-    return x, eps_boot, calls, states
-
-
-def _chunk_baseline(gc, method, schedule, predictor, xT, seed, chunk, n_rows, record):
-    d = xT.shape[0]
-    N = len(gc.times) - 1
-    eps_boot = _noise(seed, _BOOT_TAG, 0, chunk, (n_rows, d))
-    x = gc.a[N - 1] * xT + gc.b[N - 1] * predictor.predict(xT, gc.times[N], xT) + gc.c[N - 1] * eps_boot
-    calls = 1
-    states = [x.copy()] if record else None
+    pred = _CountingPredictor(predictor)
+    x_hat = pred.predict(xT, gc.times[N], xT)
+    x = gc.a[N - 1] * xT + gc.b[N - 1] * x_hat + gc.c[N - 1] * eps_boot
+    states = [x] if record else None
+    order = _ORDER.get(method)
+    # dbim2/3 history: the predictions at t_{i+1} and t_{i+2}, starting from
+    # the boot prediction at λ = −inf
+    newer = older = x_hat
     for i in range(N - 1, 0, -1):
         t_hi, t_lo = gc.times[i], gc.times[i - 1]
-        dt = t_lo - t_hi
-        if method is Method.PF_ODE_EULER:
-            x = x + dt * drift_pfode(schedule, predictor, x, t_hi, xT)
-            calls += 1
-        elif method is Method.PF_ODE_HEUN:
-            v1 = drift_pfode(schedule, predictor, x, t_hi, xT)
-            x_pred = x + dt * v1
-            v2 = drift_pfode(schedule, predictor, x_pred, t_lo, xT)
-            x = x + 0.5 * dt * (v1 + v2)
-            calls += 2
-        else:
-            v = _drift_sde(schedule, predictor, x, t_hi, xT)
+        if method is Method.DBIM1:
+            x_hat = pred.predict(x, t_hi, xT)
+            x = _implicit_update(
+                gc.a[i - 1], gc.b[i - 1], gc.c[i - 1], gc.a[i], gc.b[i], gc.c[i],
+                rhos[i - 1], x, xT, x_hat,
+            )
+            if rhos[i - 1] > 0.0:
+                x = x + rhos[i - 1] * philox.normals(_STEP_TAG, i - 1, x.shape)
+        elif order is not None:
+            lam_s, lam_t = gc.lam[i - 1], gc.lam[i]
+            x_hat = pred.predict(x, t_hi, xT)
+            if order == 2 or i == N - 1:
+                integral = taylor_integral(
+                    2, lam_s, lam_t, x_hat, _fd_first(lam_t, x_hat, gc.lam[i + 1], newer)
+                )
+            else:
+                d1, d2 = _fd_pair(lam_t, x_hat, gc.lam[i + 1], newer, gc.lam[i + 2], older)
+                integral = taylor_integral(3, lam_s, lam_t, x_hat, d1, d2)
+            newer, older = x_hat, newer
+            c_ratio = gc.c[i - 1] / gc.c[i]
+            x = c_ratio * x + (gc.a[i - 1] - c_ratio * gc.a[i]) * xT + gc.c[i - 1] * integral
+        elif method is Method.SDE_EULER_MARUYAMA:
+            dt = t_lo - t_hi
+            v = _drift_sde(schedule, pred, x, t_hi, xT)
             g = math.sqrt(schedule.g2(t_hi))
-            xi = _noise(seed, _STEP_TAG, i, chunk, (n_rows, d))
-            x = x + dt * v + g * math.sqrt(-dt) * xi
-            calls += 1
+            x = x + dt * v + g * math.sqrt(-dt) * philox.normals(_STEP_TAG, i, x.shape)
+        else:
+            dt = t_lo - t_hi
+            v1 = drift_pfode(schedule, pred, x, t_hi, xT)
+            if method is Method.PF_ODE_EULER:
+                x = x + dt * v1
+            else:
+                v2 = drift_pfode(schedule, pred, x + dt * v1, t_lo, xT)
+                x = x + 0.5 * dt * (v1 + v2)
         if record:
-            states.append(x.copy())
-    return x, eps_boot, calls, states
-
-
-def _run_chunk(config, gc, schedule, predictor, xT, chunk, n_rows, record):
-    if config.method is Method.DBIM1:
-        rhos = make_rhos(schedule, config.grid, config.eta).rhos
-        return _chunk_dbim1(gc, rhos, schedule, predictor, xT, config.seed, chunk, n_rows, record)
-    if config.method in _ORDER:
-        return _chunk_dbim_high(
-            gc, _ORDER[config.method], schedule, predictor, xT, config.seed, chunk, n_rows, record
-        )
-    return _chunk_baseline(gc, config.method, schedule, predictor, xT, config.seed, chunk, n_rows, record)
+            states.append(x)
+    return x, pred.calls, states
 
 
 def sample_batch(
@@ -464,41 +465,31 @@ def sample_batch(
 
     Returns ``(terminal, boot_noise, calls_per_traj)`` with shapes
     (n_traj, d) and, when ``record`` is set, additionally the full state
-    stack of shape (N, n_traj, d) over grid times below T.  Trajectories
-    are processed in fixed-size chunks whose noise is keyed by
-    (seed, step, chunk), so results are identical for any thread count.
+    stack of shape (N, n_traj, d) over grid times below T.  Noise for rows
+    in fixed-size chunks is keyed by (seed, step, chunk), so each row's
+    result does not depend on how many rows are run.  The engine runs on
+    the calling thread; ``n_threads`` is accepted for compatibility and
+    changes neither results nor speed.
     """
     xT = np.asarray(xT, dtype=float)
     gc = _GridCoeffs.build(schedule, config.grid)
-    chunks = [(ci, min(_CHUNK, n_traj - ci * _CHUNK)) for ci in range((n_traj + _CHUNK - 1) // _CHUNK)]
-
-    def work(item):
-        ci, rows = item
-        return _run_chunk(config, gc, schedule, predictor, xT, ci, rows, record)
-
-    if n_threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(item) for item in chunks]
-
-    terminal = np.concatenate([r[0] for r in results], axis=0)
-    boot = np.concatenate([r[1] for r in results], axis=0)
-    calls = results[0][2]
+    rhos = make_rhos(schedule, config.grid, config.eta).rhos if config.method is Method.DBIM1 else None
+    philox = _Philox(config.seed)
+    boot = philox.normals(_BOOT_TAG, 0, (n_traj, xT.shape[0]))
+    terminal, calls, states = _run_chunk(
+        config.method, gc, rhos, schedule, predictor, xT, boot, philox, record
+    )
     if record:
-        stacked = np.concatenate([np.stack(r[3], axis=0) for r in results], axis=1)
-        return terminal, boot, calls, stacked
+        return terminal, boot, calls, np.stack(states, axis=0)
     return terminal, boot, calls
 
 
-def _single(config, schedule, predictor, xT) -> Trajectory:
+def run_sampler(config: SamplerConfig, schedule: NoiseSchedule, predictor, xT) -> Trajectory:
+    """Run one trajectory of the configured method, recording every state."""
     xT = np.asarray(xT, dtype=float)
-    gc = _GridCoeffs.build(schedule, config.grid)
-    terminal, boot, calls, states = _run_chunk(config, gc, schedule, predictor, xT, 0, 1, True)
-    N = config.grid.n_steps
-    path = [(config.grid.times[N], xT.copy())]
-    for i, s in enumerate(states):
-        path.append((config.grid.times[N - 1 - i], s[0]))
+    _, boot, calls, states = sample_batch(config, schedule, predictor, xT, 1, record=True)
+    times = config.grid.times
+    path = [(times[-1], xT.copy())] + [(times[-2 - i], s[0]) for i, s in enumerate(states)]
     return Trajectory(states=path, boot_noise=boot[0], predictor_calls=calls)
 
 
@@ -506,7 +497,7 @@ def run_dbim1(config: SamplerConfig, schedule: NoiseSchedule, predictor, xT) -> 
     """Boot step followed by N−1 first-order implicit updates down to t_0."""
     if config.method is not Method.DBIM1:
         raise InvalidGridParams(f"run_dbim1 requires method dbim1, got {config.method.value}")
-    return _single(config, schedule, predictor, xT)
+    return run_sampler(config, schedule, predictor, xT)
 
 
 def run_dbim_high(config: SamplerConfig, schedule: NoiseSchedule, predictor, xT) -> Trajectory:
@@ -518,7 +509,7 @@ def run_dbim_high(config: SamplerConfig, schedule: NoiseSchedule, predictor, xT)
     """
     if config.method not in _ORDER:
         raise InvalidGridParams(f"run_dbim_high requires dbim2 or dbim3, got {config.method.value}")
-    return _single(config, schedule, predictor, xT)
+    return run_sampler(config, schedule, predictor, xT)
 
 
 def run_baseline(config: SamplerConfig, schedule: NoiseSchedule, predictor, xT) -> Trajectory:
@@ -530,16 +521,7 @@ def run_baseline(config: SamplerConfig, schedule: NoiseSchedule, predictor, xT) 
     """
     if config.method is Method.DBIM1 or config.method in _ORDER:
         raise InvalidGridParams(f"run_baseline got non-baseline method {config.method.value}")
-    return _single(config, schedule, predictor, xT)
-
-
-def run_sampler(config: SamplerConfig, schedule: NoiseSchedule, predictor, xT) -> Trajectory:
-    """Dispatch on the configured method."""
-    if config.method is Method.DBIM1:
-        return run_dbim1(config, schedule, predictor, xT)
-    if config.method in _ORDER:
-        return run_dbim_high(config, schedule, predictor, xT)
-    return run_baseline(config, schedule, predictor, xT)
+    return run_sampler(config, schedule, predictor, xT)
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +539,8 @@ def decode(
     """Deterministic (η = 0) generation from a given booting noise."""
     xT = np.asarray(xT, dtype=float)
     gc = _GridCoeffs.build(schedule, grid)
-    N = grid.n_steps
-    x = gc.a[N - 1] * xT + gc.b[N - 1] * predictor.predict(xT, grid.times[N], xT) + gc.c[N - 1] * np.asarray(eps, dtype=float)
-    for n in range(N - 2, -1, -1):
-        x_hat = predictor.predict(x, gc.times[n + 1], xT)
-        x = _implicit_update(
-            gc.a[n], gc.b[n], gc.c[n], gc.a[n + 1], gc.b[n + 1], gc.c[n + 1], 0.0, x, xT, x_hat
-        )
+    eps = np.asarray(eps, dtype=float)
+    x, _, _ = _run_chunk(Method.DBIM1, gc, (0.0,) * grid.n_steps, schedule, predictor, xT, eps, None, False)
     return x
 
 

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DegenerateCoefficient,
@@ -215,6 +214,10 @@ def time_of_lambda(schedule: NoiseSchedule, lam: float) -> float:
         return hi
     if f_lo * f_hi > 0.0:
         raise NotBracketed(f"lambda={lam} outside attainable range ({lam + f_hi}, {lam + f_lo})")
+    # imported on use: scipy.optimize is a large share of the package's
+    # import time and nothing else needs it
+    from scipy.optimize import brentq
+
     root = brentq(lambda s: lambda_of(schedule, s) - lam, lo, hi, xtol=1e-15 * T, rtol=8.9e-16)
     return float(root)
 

@@ -94,6 +94,29 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             load_config(cfg)
 
+    # (problem key, value, BRIDGEKIT_THREADS); json writes nan/inf as NaN and
+    # Infinity, which json.load reads back
+    @pytest.mark.parametrize("key,value,env", [
+        ("cov", [[1.0, 0.0], [0.0, math.nan]], None),
+        ("mix", [[math.nan, 0.0], [0.1, 0.3]], None),
+        ("offset", [0.4, math.inf], None),
+        ("x_T", [math.nan, -0.5], None),
+        ("x0", [0.0, -math.inf], None),
+        ("bias", math.nan, None),
+        (None, None, "abc"),
+    ])
+    def test_non_finite_input_or_bad_env_exits_2_without_output(self, tmp_path, monkeypatch, key, value, env):
+        cfg = base_config()
+        if key is not None:
+            cfg["problem"][key] = value
+        if env is not None:
+            monkeypatch.setenv("BRIDGEKIT_THREADS", env)
+        else:
+            monkeypatch.delenv("BRIDGEKIT_THREADS", raising=False)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestExperiments:
     def test_sample_shape_contract(self, tmp_path):
