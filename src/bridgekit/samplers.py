@@ -19,7 +19,7 @@ One engine runs every method: it advances the whole (n_traj, d) batch one
 grid step at a time on the calling thread, with one predictor call per step
 (two for Heun).  Randomness is counter-based: every (seed, step,
 trajectory-chunk) triple maps to its own Philox counter block, so a row's
-result does not depend on the batch it runs in.
+noise does not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ from .bridge import make_rhos
 from .oracle import score_from_predictor
 from .schedule import NoiseSchedule, TimeGrid, coeffs
 
-# fixed trajectory-chunk width; results must not depend on thread count,
-# so the chunking itself never varies
+# rows per noise key; fixed, because every noisy output byte depends on it
 _CHUNK = 256
 _BOOT_TAG = 1
 _STEP_TAG = 2
@@ -467,7 +466,7 @@ def sample_batch(
     (n_traj, d) and, when ``record`` is set, additionally the full state
     stack of shape (N, n_traj, d) over grid times below T.  Noise for rows
     in fixed-size chunks is keyed by (seed, step, chunk), so each row's
-    result does not depend on how many rows are run.  The engine runs on
+    noise does not depend on how many rows are run.  The engine runs on
     the calling thread; ``n_threads`` is accepted for compatibility and
     changes neither results nor speed.
     """
