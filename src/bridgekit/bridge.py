@@ -108,6 +108,17 @@ def forward_sample(
     return k.a * xT + k.b * x0 + k.c * noise
 
 
+def _kernel_mean(a_n, b_n, c_n, a_m, b_m, c_m, rho_n, x_next, xT, x0):
+    """Inference-kernel mean a_n x_T + b_n x₀ + √(c_n² − ρ_n²)(x_{n+1} − a_m x_T − b_m x₀)/c_m.
+
+    ``*_n`` are the coefficients at t_n and ``*_m`` those at t_{n+1}.  The
+    samplers and the inference chain all call this one implementation, and
+    their output bytes depend on its operation order.
+    """
+    root = math.sqrt(max(c_n * c_n - rho_n * rho_n, 0.0))
+    return a_n * xT + b_n * x0 + root * (x_next - a_m * xT - b_m * x0) / c_m
+
+
 def inference_kernel_mean_var(
     schedule: NoiseSchedule,
     rho_n: float,
@@ -133,8 +144,7 @@ def inference_kernel_mean_var(
     x0 = np.asarray(x0, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
     xT = np.asarray(xT, dtype=float)
-    residual_scale = math.sqrt(max(kn.c * kn.c - rho_n * rho_n, 0.0))
-    mean = kn.a * xT + kn.b * x0 + residual_scale * (x_next - km.a * xT - km.b * x0) / km.c
+    mean = _kernel_mean(kn.a, kn.b, kn.c, km.a, km.b, km.c, rho_n, x_next, xT, x0)
     return mean, float(rho_n * rho_n)
 
 
@@ -218,8 +228,7 @@ def simulate_inference_chain(
         rho = rhos.rhos[n]
         kn = coeffs(schedule, ts[n])
         km = coeffs(schedule, ts[n + 1])
-        root = math.sqrt(max(kn.c * kn.c - rho * rho, 0.0))
-        mean = kn.a * xT + kn.b * x0 + root * (x - km.a * xT - km.b * x0) / km.c
+        mean = _kernel_mean(kn.a, kn.b, kn.c, km.a, km.b, km.c, rho, x, xT, x0)
         x = mean if rho == 0.0 else mean + rho * rng.standard_normal((n_traj, d))
         out[ts[n]] = x.copy()
     return out

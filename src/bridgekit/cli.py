@@ -9,7 +9,6 @@ config and seed; wall-clock information lives only in the JSON report.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -77,19 +76,65 @@ def _require(mapping: dict, key: str, ctx: str):
     return mapping[key]
 
 
+def _section(raw: dict, key: str) -> dict:
+    spec = _require(raw, key, "config")
+    if not isinstance(spec, dict):
+        raise ConfigInvalid(f"'{key}' must be a JSON object")
+    return spec
+
+
+def _number(value, name: str, integer: bool = False) -> float | int:
+    """``value`` as a finite float, or as an int when ``integer`` is set.
+
+    Raises ConfigInvalid for anything else: a string, list, null or JSON
+    boolean, a non-finite float, or a float with a fractional part in an
+    integer field (``2.0`` is read as 2, ``2.7`` is rejected).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigInvalid(f"{name} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigInvalid(f"{name} must be finite, got {value!r}")
+    if integer:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigInvalid(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigInvalid(f"{name} is out of the float range") from exc
+
+
+def _array(spec: dict, key: str, ctx: str) -> np.ndarray:
+    """``spec[key]``, a number or a (nested) list of numbers, as a float array."""
+    value = _require(spec, key, ctx)
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise ConfigInvalid(f"{ctx}.{key} must be a numeric array: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ConfigInvalid(f"{ctx}.{key} must hold numbers, got {value!r}")
+    return arr.astype(float)
+
+
+# schedule kind -> (constructor, its (parameter, default) pairs before the horizon)
+_SCHEDULES = {
+    "vp": (NoiseSchedule.vp, (("beta_min", 0.1), ("beta_max", 20.0))),
+    "ve": (NoiseSchedule.ve, (("sigma_min", 0.01), ("sigma_max", 50.0))),
+    "brownian_bridge": (NoiseSchedule.brownian_bridge, (("beta", 1.0),)),
+}
+
+
 def _build_schedule(spec: dict) -> NoiseSchedule:
     kind = _require(spec, "kind", "schedule")
-    horizon = float(spec.get("horizon", 1.0))
+    if not isinstance(kind, str) or kind not in _SCHEDULES:
+        raise ConfigInvalid(f"unknown schedule kind '{kind}'")
+    build, params = _SCHEDULES[kind]
+    args = [_number(spec.get(key, default), f"schedule.{key}") for key, default in params]
+    horizon = _number(spec.get("horizon", 1.0), "schedule.horizon")
     try:
-        if kind == "vp":
-            return NoiseSchedule.vp(spec.get("beta_min", 0.1), spec.get("beta_max", 20.0), horizon)
-        if kind == "ve":
-            return NoiseSchedule.ve(spec.get("sigma_min", 0.01), spec.get("sigma_max", 50.0), horizon)
-        if kind == "brownian_bridge":
-            return NoiseSchedule.brownian_bridge(spec.get("beta", 1.0), horizon)
+        return build(*args, horizon)
     except BridgekitError as exc:
         raise ConfigInvalid(f"schedule: {exc}") from exc
-    raise ConfigInvalid(f"unknown schedule kind '{kind}'")
 
 
 def _build_grid(spec: dict, horizon: float) -> TimeGrid:
@@ -98,15 +143,14 @@ def _build_grid(spec: dict, horizon: float) -> TimeGrid:
         kind = GridKind(kind_name)
     except ValueError as exc:
         raise ConfigInvalid(f"unknown grid kind '{kind_name}'") from exc
+
+    n_steps = _number(_require(spec, "n_steps", "grid"), "grid.n_steps", integer=True)
+    params = {
+        key: _number(spec.get(key, default), f"grid.{key}")
+        for key, default in (("t_min", 1e-4), ("t_max", horizon), ("boot_gap", 1e-4), ("edm_exponent", 7.0))
+    }
     try:
-        return make_grid(
-            kind,
-            int(_require(spec, "n_steps", "grid")),
-            t_min=float(spec.get("t_min", 1e-4)),
-            t_max=float(spec.get("t_max", horizon)),
-            boot_gap=float(spec.get("boot_gap", 1e-4)),
-            edm_exponent=float(spec.get("edm_exponent", 7.0)),
-        )
+        return make_grid(kind, n_steps, **params)
     except BridgekitError as exc:
         raise ConfigInvalid(f"grid: {exc}") from exc
 
@@ -119,47 +163,48 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     """
     if not isinstance(raw, dict):
         raise ConfigInvalid("config root must be a JSON object")
-    sched = _build_schedule(_require(raw, "schedule", "config"))
+    sched = _build_schedule(_section(raw, "schedule"))
 
-    pspec = _require(raw, "problem", "config")
+    pspec = _section(raw, "problem")
     try:
         problem = GaussianBridgeProblem(
-            mix=np.asarray(_require(pspec, "mix", "problem"), dtype=float),
-            offset=np.asarray(_require(pspec, "offset", "problem"), dtype=float),
-            cov=np.asarray(_require(pspec, "cov", "problem"), dtype=float),
+            mix=_array(pspec, "mix", "problem"),
+            offset=_array(pspec, "offset", "problem"),
+            cov=_array(pspec, "cov", "problem"),
         )
     except BridgekitError as exc:
         raise ConfigInvalid(f"problem: {exc}") from exc
-    x_T = np.asarray(_require(pspec, "x_T", "problem"), dtype=float)
+    x_T = _array(pspec, "x_T", "problem")
     if x_T.shape != (problem.dim,):
         raise ConfigInvalid(f"x_T shape {x_T.shape} != ({problem.dim},)")
     if not np.all(np.isfinite(x_T)):
         raise ConfigInvalid("x_T has non-finite entries")
     x0 = None
     if "x0" in pspec:
-        x0 = np.asarray(pspec["x0"], dtype=float)
+        x0 = _array(pspec, "x0", "problem")
         if x0.shape != (problem.dim,):
             raise ConfigInvalid(f"x0 shape {x0.shape} != ({problem.dim},)")
         if not np.all(np.isfinite(x0)):
             raise ConfigInvalid("x0 has non-finite entries")
-    bias = float(pspec.get("bias", 0.0))
-    if not math.isfinite(bias):
-        raise ConfigInvalid(f"bias must be finite, got {bias}")
+    bias = _number(pspec.get("bias", 0.0), "problem.bias")
 
-    grid = _build_grid(_require(raw, "grid", "config"), sched.horizon)
+    grid = _build_grid(_section(raw, "grid"), sched.horizon)
     if grid.t_max != sched.horizon:
         raise ConfigInvalid(
             f"grid t_max={grid.t_max} must equal the schedule horizon {sched.horizon}"
         )
 
-    sspec = _require(raw, "sampler", "config")
+    sspec = _section(raw, "sampler")
     method_name = _require(sspec, "method", "sampler")
     try:
         method = Method(method_name)
     except ValueError as exc:
         raise ConfigInvalid(f"unknown sampler method '{method_name}'") from exc
-    eta = float(sspec.get("eta", 0.0))
-    sweep = [int(n) for n in sspec.get("n_steps_sweep", [])]
+    eta = _number(sspec.get("eta", 0.0), "sampler.eta")
+    sweep = sspec.get("n_steps_sweep", [])
+    if not isinstance(sweep, list):
+        raise ConfigInvalid(f"sampler.n_steps_sweep must be a list, got {sweep!r}")
+    sweep = [_number(n, "sampler.n_steps_sweep entry", integer=True) for n in sweep]
 
     experiment = _require(raw, "experiment", "config")
     if experiment not in EXPERIMENTS:
@@ -176,16 +221,20 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
             except BridgekitError as exc:
                 raise ConfigInvalid(f"n_steps_sweep entry {n}: {exc}") from exc
 
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
+    seed = _number(raw.get("seed", 0) if seed_override is None else seed_override, "seed", integer=True)
     if not 0 <= seed < 2 ** 64:
         raise ConfigInvalid(f"seed must fit in 64 bits, got {seed}")
-    out_dir = Path(out_override if out_override is not None else raw.get("output", "out"))
-    n_traj = int(raw.get("n_trajectories", 100))
+    output = out_override if out_override is not None else raw.get("output", "out")
+    if not isinstance(output, str):
+        raise ConfigInvalid(f"output must be a path string, got {output!r}")
+    out_dir = Path(output)
+    n_traj = _number(raw.get("n_trajectories", 100), "n_trajectories", integer=True)
     if n_traj < 1:
         raise ConfigInvalid(f"n_trajectories must be >= 1, got {n_traj}")
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise ConfigInvalid("options must be a JSON object")
+    options = _typed_options(options)
 
     # construct the sampler config now so its validation also runs up front
     try:
@@ -200,16 +249,42 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     )
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Write rows of Python scalars; ``csv`` writes a float as its ``repr``.
+def _typed_options(options: dict) -> dict:
+    """A copy of ``options`` with the keys the experiments read checked and typed."""
+    out = dict(options)
+    for key in ("n_points", "n_conditions", "samples_per_condition"):
+        if key in out:
+            out[key] = _number(out[key], f"options.{key}", integer=True)
+            if out[key] < 1:
+                raise ConfigInvalid(f"options.{key} must be >= 1, got {out[key]}")
+    if "t_range" in out:
+        t_range = out["t_range"]
+        if not isinstance(t_range, list) or len(t_range) != 2:
+            raise ConfigInvalid(f"options.t_range must be a list [lo, hi], got {t_range!r}")
+        lo, hi = (_number(v, "options.t_range entry") for v in t_range)
+        # fractions of the horizon; drift is undefined at both ends
+        if not 0.0 < lo <= hi < 1.0:
+            raise ConfigInvalid(f"options.t_range must satisfy 0 < lo <= hi < 1, got {t_range}")
+        out["t_range"] = (lo, hi)
+    if "weights" in out:
+        weights = out["weights"]
+        if not isinstance(weights, list):
+            raise ConfigInvalid(f"options.weights must be a list, got {weights!r}")
+        out["weights"] = [_number(w, "options.weights entry") for w in weights]
+    return out
 
-    NumPy scalars must be converted first (``tolist``/``float``): ``csv``
-    would write an ``np.float64`` as ``np.float64(…)``.
+
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Write comma-joined ``str`` fields, one ``\r\n``-terminated line per row.
+
+    These are the bytes the ``csv`` module writes for this data: it writes a
+    Python float as its ``repr``, which equals its ``str``, and no header or
+    string field here needs quoting.  Rows must hold Python scalars
+    (``tolist``/``float``), as an ``np.float64`` would print its own way.
     """
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
 
 
 def _predictor(cfg: RunConfig):
@@ -269,7 +344,7 @@ def _exp_marginals(cfg: RunConfig, predictor, threads: int):
 
 
 def _exp_drift_check(cfg: RunConfig, predictor, threads: int):
-    n_points = int(cfg.options.get("n_points", 1000))
+    n_points = cfg.options.get("n_points", 1000)
     lo, hi = cfg.options.get("t_range", (0.01, 0.99))
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -337,7 +412,7 @@ def _exp_roundtrip(cfg: RunConfig, predictor, threads: int):
 
 
 def _exp_interpolate(cfg: RunConfig, predictor, threads: int):
-    weights = [float(w) for w in cfg.options.get("weights", [0.0, 0.25, 0.5, 0.75, 1.0])]
+    weights = cfg.options.get("weights", [0.0, 0.25, 0.5, 0.75, 1.0])
     rng = np.random.default_rng(cfg.seed)
     eps_a = rng.standard_normal(cfg.problem.dim)
     eps_b = rng.standard_normal(cfg.problem.dim)
@@ -351,8 +426,8 @@ def _exp_interpolate(cfg: RunConfig, predictor, threads: int):
 
 
 def _exp_diversity(cfg: RunConfig, predictor, threads: int):
-    n_conditions = int(cfg.options.get("n_conditions", 8))
-    per_condition = int(cfg.options.get("samples_per_condition", 5))
+    n_conditions = cfg.options.get("n_conditions", 8)
+    per_condition = cfg.options.get("samples_per_condition", 5)
     rng = np.random.default_rng(cfg.seed)
     conditions = rng.standard_normal((n_conditions, cfg.problem.dim))
     rows = []

@@ -12,6 +12,11 @@ kernel on this model gives closed forms for the posterior mean
 
 the bridge marginal N(a_t x_T + b_t m, b_t² S + c_t² I), and the bridge
 score: everything a sampler would normally obtain from a trained network.
+
+``GaussianOracle.predict`` keeps x_T and m(x_T) tiled to the shape of the
+batch, so each per-row constant enters as a same-shape operand: the values
+are those of the (d,)-vector broadcast, bit for bit, without numpy running
+one inner loop of length d per row.
 """
 
 from __future__ import annotations
@@ -125,25 +130,43 @@ class GaussianOracle:
         self.problem = problem
         self.schedule = schedule
         self._gain_cache: dict[tuple[float, float], np.ndarray] = {}
+        self._eye = np.eye(problem.dim)
+        self._jittered_cov = problem.cov + _JITTER * self._eye
+        # (x_T bytes, x_T shape, batch shape) -> (x_T tile, m(x_T) tile)
+        self._tiles: tuple[tuple, tuple[np.ndarray, np.ndarray]] | None = None
 
     def predict(self, x: np.ndarray, t: float, xT: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         xT = np.asarray(xT, dtype=float)
         if x.shape[-1] != self.problem.dim:
             raise DimensionMismatch(f"state dim {x.shape[-1]} != {self.problem.dim}")
-        m = self.problem.mean_given_endpoint(xT)
+        xT_tile, m_tile = self._endpoint_tiles(xT, x.shape)
         k = coeffs(self.schedule, t)
         if k.c == 0.0:
             # pinned endpoint: x carries no information beyond x_T
-            return np.broadcast_to(m, x.shape).copy()
+            return m_tile.copy()
         gain = self._gain(k.b, k.c)
-        residual = x - k.a * xT - k.b * m
-        return m + residual @ gain.T
+        residual = x - k.a * xT_tile - k.b * m_tile
+        return m_tile + residual @ gain.T
+
+    def _endpoint_tiles(self, xT: np.ndarray, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """x_T and m(x_T) tiled to the broadcast of ``shape`` and x_T's shape.
+
+        The last pair built is kept: a sampler calls ``predict`` with one x_T
+        and one batch shape at every step.  The tiles are read-only to callers.
+        """
+        key = (xT.tobytes(), xT.shape, shape)
+        if self._tiles is None or self._tiles[0] != key:
+            m = self.problem.mean_given_endpoint(xT)
+            full = np.broadcast_shapes(shape, xT.shape)
+            tiles = (np.broadcast_to(xT, full).copy(), np.broadcast_to(m, full).copy())
+            self._tiles = (key, tiles)
+        return self._tiles[1]
 
     def linearize(self, t: float, xT: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Affine decomposition predict(x) = P x + q at fixed (t, x_T)."""
         xT = np.asarray(xT, dtype=float)
-        m = self.problem.mean_given_endpoint(xT)
+        _, m = self._endpoint_tiles(xT, xT.shape)
         k = coeffs(self.schedule, t)
         if k.c == 0.0:
             return np.zeros((self.problem.dim,) * 2), m.copy()
@@ -156,9 +179,8 @@ class GaussianOracle:
         cached = self._gain_cache.get((b, c))
         if cached is not None:
             return cached
-        d = self.problem.dim
-        S = self.problem.cov + _JITTER * np.eye(d)
-        A = b * b * S + c * c * np.eye(d)
+        S = self._jittered_cov
+        A = b * b * S + c * c * self._eye
         # the LAPACK routines behind cho_factor/cho_solve, called with the same
         # arguments minus their finiteness scan; the problem's entries are
         # checked finite on construction

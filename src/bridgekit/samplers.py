@@ -17,7 +17,9 @@ and then walk the remaining grid down to t_0:
 
 One engine runs every method: it advances the whole (n_traj, d) batch one
 grid step at a time on the calling thread, with one predictor call per step
-(two for Heun).  Randomness is counter-based: every (seed, step,
+(two for Heun).  The updates take x_T tiled to the (n_traj, d) batch: the
+same bits as broadcasting the (d,) vector, without numpy running one inner
+loop of length d per row.  Randomness is counter-based: every (seed, step,
 trajectory-chunk) triple maps to its own Philox counter block, so a row's
 noise does not depend on the batch size.
 """
@@ -43,7 +45,7 @@ from .errors import (
     SingularSystem,
     ZeroVector,
 )
-from .bridge import make_rhos
+from .bridge import _kernel_mean, make_rhos
 from .oracle import score_from_predictor
 from .schedule import NoiseSchedule, TimeGrid, coeffs
 
@@ -194,11 +196,6 @@ def boot_step(
     return k.a * xT + k.b * x_hat + k.c * np.asarray(eps, dtype=float)
 
 
-def _implicit_update(a_n, b_n, c_n, a_m, b_m, c_m, rho_n, x_next, xT, x_hat):
-    root = math.sqrt(max(c_n * c_n - rho_n * rho_n, 0.0))
-    return a_n * xT + b_n * x_hat + root * (x_next - a_m * xT - b_m * x_hat) / c_m
-
-
 def dbim_step(
     schedule: NoiseSchedule,
     rho_n: float,
@@ -223,7 +220,7 @@ def dbim_step(
     km = coeffs(schedule, t_next)
     if rho_n > kn.c * (1.0 + 1e-12):
         raise InvalidGridParams(f"rho_n={rho_n} exceeds c_t={kn.c}")
-    out = _implicit_update(
+    out = _kernel_mean(
         kn.a, kn.b, kn.c, km.a, km.b, km.c, rho_n,
         np.asarray(x_next, dtype=float), np.asarray(xT, dtype=float),
         np.asarray(x_hat, dtype=float),
@@ -410,13 +407,17 @@ def _run_chunk(method, gc, rhos, schedule, predictor, xT, eps_boot, philox, reco
     # dbim2/3 history: the predictions at t_{i+1} and t_{i+2}, starting from
     # the boot prediction at λ = −inf
     newer = older = x_hat
+    # x_T tiled to the batch for the updates (same values as the broadcast);
+    # predict keeps the (d,) x_T, since a tiled one would compute m(x_T) as a
+    # batched product, which can round differently
+    xT_tile = np.broadcast_to(xT, x.shape).copy()
     for i in range(N - 1, 0, -1):
         t_hi, t_lo = gc.times[i], gc.times[i - 1]
         if method is Method.DBIM1:
             x_hat = pred.predict(x, t_hi, xT)
-            x = _implicit_update(
+            x = _kernel_mean(
                 gc.a[i - 1], gc.b[i - 1], gc.c[i - 1], gc.a[i], gc.b[i], gc.c[i],
-                rhos[i - 1], x, xT, x_hat,
+                rhos[i - 1], x, xT_tile, x_hat,
             )
             if rhos[i - 1] > 0.0:
                 x = x + rhos[i - 1] * philox.normals(_STEP_TAG, i - 1, x.shape)
@@ -432,7 +433,7 @@ def _run_chunk(method, gc, rhos, schedule, predictor, xT, eps_boot, philox, reco
                 integral = taylor_integral(3, lam_s, lam_t, x_hat, d1, d2)
             newer, older = x_hat, newer
             c_ratio = gc.c[i - 1] / gc.c[i]
-            x = c_ratio * x + (gc.a[i - 1] - c_ratio * gc.a[i]) * xT + gc.c[i - 1] * integral
+            x = c_ratio * x + (gc.a[i - 1] - c_ratio * gc.a[i]) * xT_tile + gc.c[i - 1] * integral
         elif method is Method.SDE_EULER_MARUYAMA:
             dt = t_lo - t_hi
             v = _drift_sde(schedule, pred, x, t_hi, xT)

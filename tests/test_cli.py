@@ -94,8 +94,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             load_config(cfg)
 
-    # (problem key, value, BRIDGEKIT_THREADS); json writes nan/inf as NaN and
-    # Infinity, which json.load reads back
+    # (config key, value, BRIDGEKIT_THREADS); a top-level key is set at the
+    # root, "section.key" in that section and any other key in "problem";
+    # json writes nan/inf as NaN and Infinity, which json.load reads back
     @pytest.mark.parametrize("key,value,env", [
         ("cov", [[1.0, 0.0], [0.0, math.nan]], None),
         ("mix", [[math.nan, 0.0], [0.1, 0.3]], None),
@@ -104,10 +105,32 @@ class TestConfigValidation:
         ("x0", [0.0, -math.inf], None),
         ("bias", math.nan, None),
         (None, None, "abc"),
+        # ill-typed values
+        ("n_trajectories", "abc", None),
+        ("schedule.horizon", [1], None),
+        ("grid.n_steps", "x", None),
+        ("sampler.eta", "x", None),
+        ("seed", "x", None),
+        ("grid.t_min", None, None),
+        ("schedule.beta", "x", None),
+        ("mix", "x", None),
+        ("options.n_points", "x", None),
+        # integer fields with a fractional part
+        ("grid.n_steps", 2.7, None),
+        ("n_trajectories", 2.7, None),
+        ("seed", 1.5, None),
+        ("sampler.n_steps_sweep", [2.5], None),
+        # drift-check times are fractions of the horizon in (0, 1)
+        ("options.t_range", [0, 5], None),
     ])
     def test_non_finite_input_or_bad_env_exits_2_without_output(self, tmp_path, monkeypatch, key, value, env):
         cfg = base_config()
-        if key is not None:
+        if key in cfg:
+            cfg[key] = value
+        elif key is not None and "." in key:
+            section, name = key.split(".")
+            cfg.setdefault(section, {})[name] = value
+        elif key is not None:
             cfg["problem"][key] = value
         if env is not None:
             monkeypatch.setenv("BRIDGEKIT_THREADS", env)
@@ -116,6 +139,18 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [("schedule", "kind"), ("grid", 5), ("output", 5)])
+    def test_ill_shaped_section_or_output_rejected(self, key, value):
+        with pytest.raises(ConfigInvalid):
+            load_config(base_config(**{key: value}))
+
+    def test_integral_float_accepted_for_integer_fields(self):
+        cfg = base_config(n_trajectories=20.0, seed=3.0)
+        cfg["grid"]["n_steps"] = 8.0
+        loaded = load_config(cfg)
+        assert (loaded.n_trajectories, loaded.seed, loaded.grid.n_steps) == (20, 3, 8)
+        assert isinstance(loaded.n_trajectories, int) and isinstance(loaded.seed, int)
 
 
 class TestExperiments:

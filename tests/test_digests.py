@@ -3,7 +3,10 @@
 Every CSV of ``bridgekit run`` and the arrays of ``run_sampler`` and
 ``decode`` are hashed for fixed configs and compared with digests recorded
 from the sampler before its engine was rewritten step-major (x86-64 Linux,
-numpy 2.4 with its bundled OpenBLAS).  Any change to the arithmetic, its
+numpy 2.4 with its bundled OpenBLAS).  The ``marginals``, ``drift-check``
+and ``convergence`` CSVs and the two d = 16 ``sample`` CSVs were recorded
+later, from the step-major engine before the oracle and the engine tiled
+their row constants.  Any change to the arithmetic, its
 order or the noise keying shows here.  A platform whose BLAS rounds the 2×2
 products differently needs the digests recorded again.
 
@@ -29,6 +32,14 @@ PROBLEM = {
     "x_T": [1.0, -0.5],
 }
 
+# d = 16: tridiagonal covariance, near-diagonal mix
+PROBLEM_D16 = {
+    "mix": [[0.3 if i == j else 0.01 * (i - j) for j in range(16)] for i in range(16)],
+    "offset": [0.1 * i - 0.8 for i in range(16)],
+    "cov": [[1.0 if i == j else 0.3 if abs(i - j) == 1 else 0.0 for j in range(16)] for i in range(16)],
+    "x_T": [0.5 * (-1) ** i + 0.03 * i for i in range(16)],
+}
+
 # (name, sampler section, n_trajectories, experiment, extra keys)
 RUNS = [
     ("dbim1_eta0", {"method": "dbim1", "eta": 0.0}, 600, "sample", {}),
@@ -43,6 +54,11 @@ RUNS = [
     ("interpolate", {"method": "dbim1"}, 1, "interpolate", {}),
     ("diversity", {"method": "dbim1", "eta": 0.5, "n_steps_sweep": [4, 8]}, 1, "diversity",
      {"options": {"n_conditions": 3, "samples_per_condition": 5}}),
+    ("marginals", {"method": "dbim1", "eta": 0.5}, 600, "marginals", {}),
+    ("drift_check", {"method": "dbim1"}, 1, "drift-check", {"options": {"n_points": 200}}),
+    ("convergence", {"method": "dbim1", "n_steps_sweep": [4, 8, 16]}, 1, "convergence", {}),
+    ("d16_dbim3", {"method": "dbim3"}, 600, "sample", {"problem": PROBLEM_D16}),
+    ("d16_dbim1_eta1", {"method": "dbim1", "eta": 1.0}, 600, "sample", {"problem": PROBLEM_D16}),
 ]
 
 CSV_DIGESTS = {
@@ -57,6 +73,11 @@ CSV_DIGESTS = {
     "roundtrip": "0ff667372c8e337c2cf9d038c47a24a70272bba627555718c51b9cf0f0d848f4",
     "interpolate": "4ec560097e82a42931eb041f0bd38d684704ad8033358cce06ab110ccb685284",
     "diversity": "f222b3cf35e702dd2efc257fdafe315917236bb0a090bab0ebc74a448e51f7ff",
+    "marginals": "c1da01b7bdbaaef2429e00200cd66360af6d496dba67236f4f87012b7f6fc4e9",
+    "drift_check": "ee016d354cf582ae21e08c446d1d5b44ea30032617bec723e0aa73c2ed47b020",
+    "convergence": "cf4e47e56082601851913faa1bb036ffc7383b40e163c0e578ee3d3a8a4d8d20",
+    "d16_dbim3": "d508bc6f5e5a3c6e33fd4a802736750229460005be7ecb406b2e3194e759fbf5",
+    "d16_dbim1_eta1": "a27930fa1dbcc0c7bff516e59928c6c30a5278c92b35ccf0d1bc6daee09144c5",
 }
 
 STATES_DIGESTS = {

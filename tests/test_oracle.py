@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgekit import (
     GaussianBridgeProblem,
@@ -123,6 +125,52 @@ class TestPredict:
                 estimate = (w[:, None] * x0).sum(axis=0) / w.sum()
                 expect = oracle.predict(query, t, xT)
                 np.testing.assert_allclose(estimate, expect, rtol=0.02, atol=0.02)
+
+
+def broadcast_predict(oracle, x, t, xT):
+    """The posterior mean with x_T and m(x_T) broadcast as (d,) vectors."""
+    m = oracle.problem.mean_given_endpoint(xT)
+    k = coeffs(oracle.schedule, t)
+    if k.c == 0.0:
+        return np.broadcast_to(m, x.shape).copy()
+    return m + (x - k.a * xT - k.b * m) @ oracle._gain(k.b, k.c).T
+
+
+class TestPredictTiles:
+    """``predict`` tiles x_T and m(x_T) to the batch; the bits must not move."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 64),
+        n=st.one_of(st.none(), st.integers(1, 600)),
+        # (0, T]; below about 1e-322 the VP log-SNR itself fails (log of 0)
+        t=st.floats(1e-300, 1.0),
+        vp=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_broadcast_formula_bit_for_bit(self, d, n, t, vp, seed):
+        rng = np.random.default_rng(seed)
+        oracle = GaussianOracle(random_problem(rng, d), NoiseSchedule.vp() if vp else BB)
+        shape = (d,) if n is None else (n, d)
+        xT = rng.standard_normal(d)
+        # a 1-D state and a second x_T in between: the tiles are rebuilt for
+        # each new (x_T, shape) and reused when it repeats
+        for x_shape, endpoint in ((shape, xT), ((d,), xT), (shape, xT), (shape, xT), (shape, -xT)):
+            x = rng.standard_normal(x_shape)
+            got = oracle.predict(x, t, endpoint)
+            want = broadcast_predict(oracle, x, t, endpoint)
+            assert got.shape == want.shape == x_shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_pinned_endpoint_returns_fresh_arrays(self):
+        rng = np.random.default_rng(3)
+        oracle = GaussianOracle(random_problem(rng, 3), BB)
+        xT = rng.standard_normal(3)
+        first = oracle.predict(np.zeros((4, 3)), 1.0, xT)
+        first[:] = np.nan
+        np.testing.assert_array_equal(
+            oracle.predict(np.zeros((4, 3)), 1.0, xT), np.tile(oracle.problem.mean_given_endpoint(xT), (4, 1))
+        )
 
 
 class TestScore:
