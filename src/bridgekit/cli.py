@@ -48,6 +48,12 @@ EXPERIMENTS = (
     "diversity",
 )
 
+# upper bounds on the sizes a config may ask for, checked before anything is
+# allocated: trajectories × dimension (2**25 doubles = 256 MB per batch
+# array) and steps per grid, including every n_steps_sweep entry
+MAX_BATCH_ENTRIES = 2 ** 25
+MAX_STEPS = 10 ** 6
+
 
 @dataclass
 class RunConfig:
@@ -137,6 +143,26 @@ def _build_schedule(spec: dict) -> NoiseSchedule:
         raise ConfigInvalid(f"schedule: {exc}") from exc
 
 
+def _steps(value, name: str) -> int:
+    """``value`` as a step count of at most MAX_STEPS (the lower bound is make_grid's)."""
+    n = _number(value, name, integer=True)
+    if n > MAX_STEPS:
+        raise ConfigInvalid(f"{name} must be at most {MAX_STEPS}, got {n}")
+    return n
+
+
+def _check_coeffs(sched: NoiseSchedule, grid: TimeGrid, ctx: str) -> None:
+    """Evaluate the bridge coefficients at every grid time, as the samplers will.
+
+    ``coeffs`` is cached, so the samplers' own tabulation reuses these.
+    """
+    try:
+        for t in grid.times:
+            coeffs(sched, t)
+    except BridgekitError as exc:
+        raise ConfigInvalid(f"{ctx}: {exc}") from exc
+
+
 def _build_grid(spec: dict, horizon: float) -> TimeGrid:
     kind_name = spec.get("kind", "uniform_boot")
     try:
@@ -144,7 +170,7 @@ def _build_grid(spec: dict, horizon: float) -> TimeGrid:
     except ValueError as exc:
         raise ConfigInvalid(f"unknown grid kind '{kind_name}'") from exc
 
-    n_steps = _number(_require(spec, "n_steps", "grid"), "grid.n_steps", integer=True)
+    n_steps = _steps(_require(spec, "n_steps", "grid"), "grid.n_steps")
     params = {
         key: _number(spec.get(key, default), f"grid.{key}")
         for key, default in (("t_min", 1e-4), ("t_max", horizon), ("boot_gap", 1e-4), ("edm_exponent", 7.0))
@@ -193,6 +219,7 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
         raise ConfigInvalid(
             f"grid t_max={grid.t_max} must equal the schedule horizon {sched.horizon}"
         )
+    _check_coeffs(sched, grid, "grid")
 
     sspec = _section(raw, "sampler")
     method_name = _require(sspec, "method", "sampler")
@@ -204,7 +231,7 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     sweep = sspec.get("n_steps_sweep", [])
     if not isinstance(sweep, list):
         raise ConfigInvalid(f"sampler.n_steps_sweep must be a list, got {sweep!r}")
-    sweep = [_number(n, "sampler.n_steps_sweep entry", integer=True) for n in sweep]
+    sweep = [_steps(n, "sampler.n_steps_sweep entry") for n in sweep]
 
     experiment = _require(raw, "experiment", "config")
     if experiment not in EXPERIMENTS:
@@ -214,12 +241,13 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
             raise ConfigInvalid(f"experiment '{experiment}' requires sampler.n_steps_sweep")
         for n in sweep:
             try:
-                make_grid(
+                sweep_grid = make_grid(
                     grid.kind, n, t_min=grid.t_min, t_max=grid.t_max,
                     boot_gap=grid.boot_gap, edm_exponent=grid.edm_exponent,
                 )
             except BridgekitError as exc:
                 raise ConfigInvalid(f"n_steps_sweep entry {n}: {exc}") from exc
+            _check_coeffs(sched, sweep_grid, f"n_steps_sweep entry {n}")
 
     seed = _number(raw.get("seed", 0) if seed_override is None else seed_override, "seed", integer=True)
     if not 0 <= seed < 2 ** 64:
@@ -231,6 +259,11 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     n_traj = _number(raw.get("n_trajectories", 100), "n_trajectories", integer=True)
     if n_traj < 1:
         raise ConfigInvalid(f"n_trajectories must be >= 1, got {n_traj}")
+    if n_traj * problem.dim > MAX_BATCH_ENTRIES:
+        raise ConfigInvalid(
+            f"n_trajectories × dimension must be at most {MAX_BATCH_ENTRIES}, "
+            f"got {n_traj} × {problem.dim}"
+        )
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise ConfigInvalid("options must be a JSON object")

@@ -17,6 +17,14 @@ score: everything a sampler would normally obtain from a trained network.
 batch, so each per-row constant enters as a same-shape operand: the values
 are those of the (d,)-vector broadcast, bit for bit, without numpy running
 one inner loop of length d per row.
+
+The gain b S (b² S + c² I)⁻¹ depends on t only through (b_t, c_t), so it is
+cached per pair.  ``GaussianOracle.prepare(times)`` solves the gains of a
+whole timestep grid before a sampler's step loop: it forms the systems as
+stacked arrays, in blocks of bounded size, and solves each with one LAPACK
+``dposv`` call, so each step's ``predict`` finds its gain in the cache.
+Predictors are not required to have ``prepare``; the samplers call it when
+it exists.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv
 
 from .errors import (
     BridgekitError,
@@ -37,6 +45,9 @@ from .schedule import NoiseSchedule, coeffs
 
 _MAX_DIM = 64
 _JITTER = 1e-10
+_GAIN_CACHE_MAX = 65536
+# doubles per stacked array in GaussianOracle.prepare: 1 MB, 32 systems at d=64
+_STACK_ELEMS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -124,6 +135,7 @@ class GaussianOracle:
     Deterministic and pure; accepts states of shape (d,) or batched (B, d).
     ``linearize`` exposes the affine map x ↦ P x + q of ``predict`` at a
     fixed (t, x_T), which the deterministic encoder inverts step by step.
+    ``prepare`` fills the gain cache for a list of times ahead of use.
     """
 
     def __init__(self, problem: GaussianBridgeProblem, schedule: NoiseSchedule):
@@ -174,28 +186,61 @@ class GaussianOracle:
         q = m - P @ (k.a * xT + k.b * m)
         return P, q
 
+    def prepare(self, times) -> None:
+        """Solve and cache the gain of every time in ``times`` in one pass.
+
+        Times where c = 0 need no gain and are skipped, as are systems that
+        fail to solve: ``_gain`` raises for those if they are ever asked
+        for.  Gains already cached are not solved again, and the cache stops
+        growing at its cap.
+        """
+        pairs = {}
+        for t in times:
+            k = coeffs(self.schedule, t)
+            if k.c != 0.0 and (k.b, k.c) not in self._gain_cache:
+                pairs[(k.b, k.c)] = None
+        pending = list(pairs)[:_GAIN_CACHE_MAX - len(self._gain_cache)]
+        block = max(_STACK_ELEMS // self.problem.dim ** 2, 1)
+        for lo in range(0, len(pending), block):
+            keys = pending[lo:lo + block]
+            for key, (gain, info) in zip(keys, self._solve(keys)):
+                if info == 0:
+                    self._gain_cache[key] = gain
+
     def _gain(self, b: float, c: float) -> np.ndarray:
         """b S (b² S + c² I)⁻¹ via Cholesky with jitter on S; cached per (b, c)."""
         cached = self._gain_cache.get((b, c))
         if cached is not None:
             return cached
-        S = self._jittered_cov
-        A = b * b * S + c * c * self._eye
-        # the LAPACK routines behind cho_factor/cho_solve, called with the same
-        # arguments minus their finiteness scan; the problem's entries are
-        # checked finite on construction
-        chol, info = dpotrf(A, lower=0, clean=0)
+        (gain, info), = self._solve([(b, c)])
         if info > 0:
             raise SingularSystem(f"conditioning system singular at b={b}, c={c}")
-        if info == 0:
-            # (A⁻¹ (bS))ᵀ = bS A⁻¹ by symmetry of A and S
-            solved, info = dpotrs(chol, b * S, lower=0)
-        if info != 0:
+        if info < 0:
             raise BridgekitError(f"LAPACK rejected argument {-info} of the gain solve at b={b}, c={c}")
-        gain = solved.T
-        if len(self._gain_cache) < 65536:
+        if len(self._gain_cache) < _GAIN_CACHE_MAX:
             self._gain_cache[(b, c)] = gain
         return gain
+
+    def _solve(self, pairs: list[tuple[float, float]]) -> list[tuple[np.ndarray, int]]:
+        """(gain, LAPACK info) for each (b, c) in ``pairs``.
+
+        The systems b² S + c² I and right-hand sides b S are formed as
+        stacked arrays, with the same operations per entry as the scalar
+        formula; each system is solved by ``dposv``, which is ``dpotrf``
+        followed by ``dpotrs`` on the upper triangle.  The problem's entries
+        are checked finite on construction, so no finiteness scan is made.
+        """
+        bc = np.array(pairs).reshape(-1, 2, 1, 1)
+        b, c = bc[:, 0], bc[:, 1]
+        S = self._jittered_cov
+        systems = b * b * S + c * c * self._eye
+        rhs = b * S
+        out = []
+        for A, bS in zip(systems, rhs):
+            _, solved, info = dposv(A, bS, lower=0)
+            # (A⁻¹ (bS))ᵀ = bS A⁻¹ by symmetry of A and S
+            out.append((solved.T, info))
+        return out
 
 
 class PerturbedOracle:
@@ -219,3 +264,6 @@ class PerturbedOracle:
     def linearize(self, t: float, xT: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         P, q = self.base.linearize(t, xT)
         return P, q + self.bias
+
+    def prepare(self, times) -> None:
+        self.base.prepare(times)

@@ -22,6 +22,14 @@ same bits as broadcasting the (d,) vector, without numpy running one inner
 loop of length d per row.  Randomness is counter-based: every (seed, step,
 trajectory-chunk) triple maps to its own Philox counter block, so a row's
 noise does not depend on the batch size.
+
+Work that depends only on the grid is done once per run.  Before the step
+loop the engine (and ``encode``) calls the predictor's optional
+``prepare(times)`` hook with the grid times; ``GaussianOracle`` uses it to
+solve every conditioning gain up front.  The hook is not a prediction and
+is not counted as one.  The dbim3 update reuses the divided difference the
+previous step formed, and the step loop reads the grid coefficients as
+Python floats.
 """
 
 from __future__ import annotations
@@ -266,18 +274,25 @@ def taylor_integral(
     h²/2−h+1−e⁻ʰ are evaluated by series below h = 1e-4 to avoid
     cancellation.
     """
+    if order not in (2, 3):
+        raise InvalidGridParams(f"order must be 2 or 3, got {order}")
+    if order == 3 and x_hat_d2 is None:
+        raise InvalidGridParams("order 3 requires x_hat_d2")
+    return _taylor(
+        lam_s, lam_t, np.asarray(x_hat, dtype=float), np.asarray(x_hat_d1, dtype=float),
+        np.asarray(x_hat_d2, dtype=float) if order == 3 else None,
+    )
+
+
+def _taylor(lam_s: float, lam_t: float, x_hat, x_hat_d1, x_hat_d2) -> np.ndarray:
+    """:func:`taylor_integral` on float arrays; order 3 when ``x_hat_d2`` is given."""
     h = lam_s - lam_t
     if not h > 0.0:
         raise NonpositiveStep(f"need lam_s > lam_t, got h={h}")
-    if order not in (2, 3):
-        raise InvalidGridParams(f"order must be 2 or 3, got {order}")
-    scale = math.exp(lam_s)
-    out = _phi1(h) * np.asarray(x_hat, dtype=float) + _phi2(h) * np.asarray(x_hat_d1, dtype=float)
-    if order == 3:
-        if x_hat_d2 is None:
-            raise InvalidGridParams("order 3 requires x_hat_d2")
-        out = out + _phi3(h) * np.asarray(x_hat_d2, dtype=float)
-    return scale * out
+    out = _phi1(h) * x_hat + _phi2(h) * x_hat_d1
+    if x_hat_d2 is not None:
+        out = out + _phi3(h) * x_hat_d2
+    return math.exp(lam_s) * out
 
 
 def _fd_first(lam_t: float, xh_t: np.ndarray, lam_u: float, xh_u: np.ndarray) -> np.ndarray:
@@ -296,22 +311,23 @@ def _fd_first(lam_t: float, xh_t: np.ndarray, lam_u: float, xh_u: np.ndarray) ->
 def _fd_pair(
     lam_t: float, xh_t: np.ndarray,
     lam_u1: float, xh_u1: np.ndarray,
-    lam_u2: float, xh_u2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    lam_u2: float, d1_far: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Divided-difference estimates of the first two λ-derivatives.
 
-    With the older history point at λ = −inf (the boot prediction) the pair
+    ``d1_far`` is (x̂_u1 − x̂_u2)/(λ_u1 − λ_u2), the near difference of the
+    previous step, which is also returned for the next one.  With the
+    older history point at λ = −inf (the boot prediction) the pair
     degenerates continuously to the one-point estimate and zero curvature.
     """
     h1 = lam_t - lam_u1
     d1_near = (xh_t - xh_u1) / h1
     if lam_u2 == -math.inf:
-        return d1_near, np.zeros_like(xh_t)
+        return d1_near, np.zeros_like(xh_t), d1_near
     h2 = lam_u1 - lam_u2
-    d1_far = (xh_u1 - xh_u2) / h2
     d1 = (d1_near * (2.0 * h1 + h2) - d1_far * h1) / (h1 + h2)
     d2 = 2.0 * (d1_near - d1_far) / (h1 + h2)
-    return d1, d2
+    return d1, d2, d1_near
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +392,17 @@ def _drift_sde(schedule: NoiseSchedule, predictor, x: np.ndarray, t: float, xT: 
 # ---------------------------------------------------------------------------
 
 
+def _prepare(predictor, times) -> None:
+    """Let ``predictor`` do its per-grid work for ``times`` if it has a ``prepare`` hook.
+
+    Called on the predictor itself, not through the counter: it is not a
+    prediction.
+    """
+    prepare = getattr(predictor, "prepare", None)
+    if prepare is not None:
+        prepare(times)
+
+
 class _CountingPredictor:
     """Passes calls through to a predictor and counts them."""
 
@@ -399,14 +426,20 @@ def _run_chunk(method, gc, rhos, schedule, predictor, xT, eps_boot, philox, reco
     set and is None otherwise.
     """
     N = len(gc.times) - 1
+    _prepare(predictor, gc.times)
     pred = _CountingPredictor(predictor)
+    # the coefficients as Python floats: indexing a list is cheaper than
+    # making a numpy scalar, and the arithmetic is the same
+    a, b, c, lam = gc.a.tolist(), gc.b.tolist(), gc.c.tolist(), gc.lam.tolist()
     x_hat = pred.predict(xT, gc.times[N], xT)
-    x = gc.a[N - 1] * xT + gc.b[N - 1] * x_hat + gc.c[N - 1] * eps_boot
+    x = a[N - 1] * xT + b[N - 1] * x_hat + c[N - 1] * eps_boot
     states = [x] if record else None
     order = _ORDER.get(method)
-    # dbim2/3 history: the predictions at t_{i+1} and t_{i+2}, starting from
-    # the boot prediction at λ = −inf
-    newer = older = x_hat
+    # dbim2/3 history: the prediction at t_{i+1}, starting from the boot
+    # prediction at λ = −inf, and for dbim3 the divided difference of the
+    # predictions at t_{i+1} and t_{i+2}
+    newer = x_hat
+    d1_far = None
     # x_T tiled to the batch for the updates (same values as the broadcast);
     # predict keeps the (d,) x_T, since a tiled one would compute m(x_T) as a
     # batched product, which can round differently
@@ -416,24 +449,20 @@ def _run_chunk(method, gc, rhos, schedule, predictor, xT, eps_boot, philox, reco
         if method is Method.DBIM1:
             x_hat = pred.predict(x, t_hi, xT)
             x = _kernel_mean(
-                gc.a[i - 1], gc.b[i - 1], gc.c[i - 1], gc.a[i], gc.b[i], gc.c[i],
-                rhos[i - 1], x, xT_tile, x_hat,
+                a[i - 1], b[i - 1], c[i - 1], a[i], b[i], c[i], rhos[i - 1], x, xT_tile, x_hat,
             )
             if rhos[i - 1] > 0.0:
                 x = x + rhos[i - 1] * philox.normals(_STEP_TAG, i - 1, x.shape)
         elif order is not None:
-            lam_s, lam_t = gc.lam[i - 1], gc.lam[i]
             x_hat = pred.predict(x, t_hi, xT)
             if order == 2 or i == N - 1:
-                integral = taylor_integral(
-                    2, lam_s, lam_t, x_hat, _fd_first(lam_t, x_hat, gc.lam[i + 1], newer)
-                )
+                d1, d2 = _fd_first(lam[i], x_hat, lam[i + 1], newer), None
             else:
-                d1, d2 = _fd_pair(lam_t, x_hat, gc.lam[i + 1], newer, gc.lam[i + 2], older)
-                integral = taylor_integral(3, lam_s, lam_t, x_hat, d1, d2)
-            newer, older = x_hat, newer
-            c_ratio = gc.c[i - 1] / gc.c[i]
-            x = c_ratio * x + (gc.a[i - 1] - c_ratio * gc.a[i]) * xT_tile + gc.c[i - 1] * integral
+                d1, d2, d1_far = _fd_pair(lam[i], x_hat, lam[i + 1], newer, lam[i + 2], d1_far)
+            integral = _taylor(lam[i - 1], lam[i], x_hat, d1, d2)
+            newer = x_hat
+            c_ratio = c[i - 1] / c[i]
+            x = c_ratio * x + (a[i - 1] - c_ratio * a[i]) * xT_tile + c[i - 1] * integral
         elif method is Method.SDE_EULER_MARUYAMA:
             dt = t_lo - t_hi
             v = _drift_sde(schedule, pred, x, t_hi, xT)
@@ -569,6 +598,7 @@ def encode(
     x = np.asarray(x0, dtype=float).copy()
     xT = np.asarray(xT, dtype=float)
     gc = _GridCoeffs.build(schedule, grid)
+    _prepare(predictor, grid.times)
     N = grid.n_steps
 
     residual = np.linalg.norm(predictor.predict(x, grid.times[0], xT) - x)

@@ -77,6 +77,17 @@ class NoiseSchedule:
                 raise InvalidGridParams(f"Brownian bridge needs beta > 0, got {p}")
         else:  # pragma: no cover - enum is closed
             raise InvalidGridParams(f"unknown schedule kind {self.kind}")
+        # every coeffs() lookup hashes the schedule, and hashing the kind
+        # runs the Python-level Enum.__hash__, so the hash is made once
+        object.__setattr__(self, "_hash", hash((self.kind, self.params, self.horizon)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: str hashes, and so the cached
+        # hash, differ between interpreters
+        return type(self), (self.kind, self.params, self.horizon)
 
     @classmethod
     def vp(cls, beta_min: float = 0.1, beta_max: float = 20.0, horizon: float = 1.0) -> "NoiseSchedule":
@@ -99,14 +110,19 @@ class NoiseSchedule:
         return 0.0
 
     def log_sigma2(self, t: float) -> float:
-        if self.kind is ScheduleKind.VP:
-            # σ² = 1 − α² = −expm1(2 log α), exact near t = 0
-            return math.log(-math.expm1(2.0 * self.log_alpha(t)))
+        """log σ_t²; raises DegenerateCoefficient where σ_t² underflows to 0."""
         if self.kind is ScheduleKind.VE:
             smin, smax = self.params
             return 2.0 * (math.log(smin) + (t / self.horizon) * math.log(smax / smin))
-        beta, = self.params
-        return math.log(beta * t)
+        if self.kind is ScheduleKind.VP:
+            # σ² = 1 − α² = −expm1(2 log α), exact near t = 0
+            sigma2 = -math.expm1(2.0 * self.log_alpha(t))
+        else:
+            beta, = self.params
+            sigma2 = beta * t
+        if not sigma2 > 0.0:
+            raise DegenerateCoefficient(f"sigma_t^2 underflows to {sigma2} at t={t}")
+        return math.log(sigma2)
 
     # -- derived quantities --------------------------------------------------
 

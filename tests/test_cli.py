@@ -5,10 +5,14 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bridgekit.schedule
 from bridgekit import fit_order
@@ -122,16 +126,26 @@ class TestConfigValidation:
         ("sampler.n_steps_sweep", [2.5], None),
         # drift-check times are fractions of the horizon in (0, 1)
         ("options.t_range", [0, 5], None),
+        # sigma_t^2 underflows to 0 at the first grid time: on a VP schedule,
+        # and on a Brownian bridge where beta * t rounds to 0
+        (("schedule.kind", "grid.t_min"), ("vp", 5e-324), None),
+        (("schedule.beta", "grid.t_min"), (0.5, 5e-324), None),
+        # counts far above the limits (test_count_limits has the edges)
+        ("n_trajectories", 2 ** 62, None),
+        ("grid.n_steps", 2 ** 62, None),
+        ("sampler.n_steps_sweep", [2 ** 62], None),
     ])
     def test_non_finite_input_or_bad_env_exits_2_without_output(self, tmp_path, monkeypatch, key, value, env):
         cfg = base_config()
-        if key in cfg:
-            cfg[key] = value
-        elif key is not None and "." in key:
-            section, name = key.split(".")
-            cfg.setdefault(section, {})[name] = value
-        elif key is not None:
-            cfg["problem"][key] = value
+        # a tuple of keys sets each key to the matching entry of the value tuple
+        for key, value in zip(key, value) if isinstance(key, tuple) else [(key, value)]:
+            if key in cfg:
+                cfg[key] = value
+            elif key is not None and "." in key:
+                section, name = key.split(".")
+                cfg.setdefault(section, {})[name] = value
+            elif key is not None:
+                cfg["problem"][key] = value
         if env is not None:
             monkeypatch.setenv("BRIDGEKIT_THREADS", env)
         else:
@@ -139,6 +153,21 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_count_limits(self):
+        # load_config only, so that nothing near the limits is allocated
+        from bridgekit.cli import MAX_BATCH_ENTRIES, MAX_STEPS
+
+        at_limit = MAX_BATCH_ENTRIES // 2  # the problem has d = 2
+        assert load_config(base_config(n_trajectories=at_limit)).n_trajectories == at_limit
+        too_many = base_config(n_trajectories=at_limit + 1)
+        too_deep = base_config()
+        too_deep["grid"]["n_steps"] = MAX_STEPS + 1
+        sweep_too_deep = base_config()
+        sweep_too_deep["sampler"]["n_steps_sweep"] = [4, MAX_STEPS + 1]
+        for cfg in (too_many, too_deep, sweep_too_deep):
+            with pytest.raises(ConfigInvalid, match="at most"):
+                load_config(cfg)
 
     @pytest.mark.parametrize("key,value", [("schedule", "kind"), ("grid", 5), ("output", 5)])
     def test_ill_shaped_section_or_output_rejected(self, key, value):
@@ -151,6 +180,57 @@ class TestConfigValidation:
         loaded = load_config(cfg)
         assert (loaded.n_trajectories, loaded.seed, loaded.grid.n_steps) == (20, 3, 8)
         assert isinstance(loaded.n_trajectories, int) and isinstance(loaded.seed, int)
+
+
+# stand-ins for a config field: wrong types, non-finite and extreme floats,
+# and integers either tiny or far above every count limit; no mid-sized
+# count, so a missing limit fails at once instead of allocating
+_MUTANTS = (
+    None, True, "x", [], {}, [1], math.nan, math.inf, -math.inf,
+    -1, 0, 0.5, 2.7, 1e308, 5e-324, -5e-324, 2 ** 62,
+)
+
+
+def _small_sample_config(schedule):
+    cfg = base_config(schedule=schedule, n_trajectories=4)
+    cfg["grid"] = {"kind": "uniform_boot", "n_steps": 4, "t_min": 1e-4}
+    return cfg
+
+
+_FUZZ_BASES = tuple(_small_sample_config(schedule) for schedule in (
+    {"kind": "brownian_bridge", "beta": 1.0, "horizon": 1.0},
+    {"kind": "vp", "beta_min": 0.1, "beta_max": 20.0, "horizon": 1.0},
+))
+# every section and every field of a section, by path from the root
+_FUZZ_PATHS = tuple(sorted({
+    path
+    for cfg in _FUZZ_BASES
+    for key, spec in cfg.items()
+    for path in [(key,)] + [(key, name) for name in (spec if isinstance(spec, dict) else ())]
+}))
+
+
+class TestConfigFuzz:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(
+        base=st.sampled_from(_FUZZ_BASES),
+        path=st.sampled_from(_FUZZ_PATHS),
+        value=st.sampled_from(_MUTANTS),
+    )
+    def test_mutated_config_exits_0_2_or_3(self, base, path, value):
+        cfg = json.loads(json.dumps(base))
+        owner = cfg
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "cfg.json"
+            config.write_text(json.dumps(cfg))
+            out = Path(tmp) / "out"
+            code = main(["run", "--config", str(config), "--out", str(out), "--threads", "1"])
+            assert code in (0, 2, 3)
+            if code == 2:
+                assert not out.exists()
 
 
 class TestExperiments:

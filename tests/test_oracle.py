@@ -17,7 +17,7 @@ from bridgekit import (
     marginal_at,
     score_from_predictor,
 )
-from bridgekit.errors import DegenerateCoefficient, DimensionMismatch, InvalidGridParams
+from bridgekit.errors import DegenerateCoefficient, DimensionMismatch, InvalidGridParams, SingularSystem
 
 BB = NoiseSchedule.brownian_bridge(1.0, 1.0)
 
@@ -275,3 +275,87 @@ class TestLinearize:
                 np.testing.assert_allclose(
                     P @ x + q, oracle.predict(x, t, xT), rtol=1e-10, atol=1e-12
                 )
+
+
+def reference_gain(problem, b, c):
+    """b S (b² S + c² I)⁻¹ by ``dpotrf`` then ``dpotrs``, one system at a time."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    eye = np.eye(problem.dim)
+    S = problem.cov + 1e-10 * eye
+    chol, info = dpotrf(b * b * S + c * c * eye, lower=0, clean=0)
+    assert info == 0
+    solved, info = dpotrs(chol, b * S, lower=0)
+    assert info == 0
+    return solved.T
+
+
+def assert_same_array(got, want):
+    # the memory layout decides how a later matmul rounds, so it must match too
+    assert got.tobytes() == want.tobytes()
+    assert (got.shape, got.strides) == (want.shape, want.strides)
+
+
+class TestGainTable:
+    """``prepare`` solves a grid's gains up front; they must be the on-demand bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 64),
+        vp=st.booleans(),
+        n_times=st.integers(1, 80),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prepared_gains_equal_on_demand_and_reference(self, d, vp, n_times, seed):
+        rng = np.random.default_rng(seed)
+        problem = random_problem(rng, d)
+        schedule = NoiseSchedule.vp() if vp else BB
+        # a random grid ending at the pinned endpoint, which needs no gain
+        times = sorted(float(t) for t in rng.uniform(1e-6, 1.0, n_times)) + [1.0]
+        prepared = GaussianOracle(problem, schedule)
+        prepared.prepare(times)
+        fresh = GaussianOracle(problem, schedule)
+        assert (coeffs(schedule, 1.0).b, 0.0) not in prepared._gain_cache
+        for t in times[:-1]:
+            k = coeffs(schedule, t)
+            got = prepared._gain_cache[(k.b, k.c)]
+            assert_same_array(got, fresh._gain(k.b, k.c))
+            assert_same_array(got, reference_gain(problem, k.b, k.c))
+            assert prepared._gain(k.b, k.c) is got
+
+    def test_blocks_and_cache_cap(self, monkeypatch):
+        import bridgekit.oracle as oracle_mod
+
+        rng = np.random.default_rng(21)
+        problem = random_problem(rng, 3)
+        times = [0.05 * i for i in range(1, 20)]
+        whole = GaussianOracle(problem, BB)
+        whole.prepare(times)
+        # two systems per stacked block, so the 19 times end in a partial block
+        monkeypatch.setattr(oracle_mod, "_STACK_ELEMS", 2 * 9)
+        blocked = GaussianOracle(problem, BB)
+        blocked.prepare(times[:5])
+        blocked.prepare(times)
+        assert list(blocked._gain_cache) == list(whole._gain_cache)
+        for key, gain in whole._gain_cache.items():
+            assert_same_array(blocked._gain_cache[key], gain)
+        monkeypatch.setattr(oracle_mod, "_GAIN_CACHE_MAX", 7)
+        capped = GaussianOracle(problem, BB)
+        capped.prepare(times)
+        assert len(capped._gain_cache) == 7
+
+    def test_unsolvable_system_raises_only_when_asked_for(self):
+        oracle = GaussianOracle(GaussianBridgeProblem.scalar(0.0, 0.0, 1.0), BB)
+        # with S = −I the system b² S + c² I = c² − b² is negative at t = 0.2
+        # on the Brownian bridge (b² = 0.64 > c² = 0.16)
+        oracle._jittered_cov = -np.eye(1)
+        oracle.prepare([0.2, 1.0])
+        assert oracle._gain_cache == {}
+        k = coeffs(BB, 0.2)
+        with pytest.raises(SingularSystem):
+            oracle._gain(k.b, k.c)
+
+    def test_perturbed_oracle_forwards_prepare(self):
+        base = GaussianOracle(random_problem(np.random.default_rng(22), 2), BB)
+        PerturbedOracle(base, eps_bias=0.1, seed=1).prepare([0.25, 0.5, 1.0])
+        assert sorted(base._gain_cache) == sorted((coeffs(BB, t).b, coeffs(BB, t).c) for t in (0.25, 0.5))

@@ -393,6 +393,50 @@ class TestBaselines:
         np.testing.assert_allclose(terminal.var(ddof=1), cov[0, 0], rtol=0.1)
 
 
+class PreparingOracle(CountingOracle):
+    """A CountingOracle that also has the ``prepare`` hook and records its calls."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.prepared = []
+
+    def prepare(self, times):
+        self.prepared.append(tuple(times))
+        self.base.prepare(times)
+
+
+class TestPrepareHook:
+    PROB2 = GaussianBridgeProblem(
+        mix=np.array([[0.2, 0.0], [0.1, 0.3]]), offset=np.array([0.4, -0.2]),
+        cov=np.array([[1.0, 0.3], [0.3, 0.5]]),
+    )
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_hook_changes_neither_bytes_nor_call_count(self, method):
+        grid = grid_of(12, t_min=1e-3, gap=1e-3)
+        cfg = SamplerConfig(method, grid, seed=5, eta=0.5 if method is Method.DBIM1 else 0.0)
+        xT = np.array([1.0, -0.5])
+        hooked = PreparingOracle(GaussianOracle(self.PROB2, VP))
+        plain = CountingOracle(GaussianOracle(self.PROB2, VP))
+        # 300 rows: two noise chunks
+        got = sample_batch(cfg, VP, hooked, xT, 300)
+        want = sample_batch(cfg, VP, plain, xT, 300)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        expected_calls = 1 + 2 * 11 if method is Method.PF_ODE_HEUN else 12
+        assert got[2] == want[2] == hooked.calls == plain.calls == expected_calls
+        assert hooked.prepared == [grid.times]
+
+    def test_encode_prepares_its_grid(self):
+        grid = grid_of(20, t_min=1e-3, gap=1e-3)
+        xT = np.array([1.0, -0.5])
+        hooked = PreparingOracle(GaussianOracle(self.PROB2, VP))
+        plain = CountingOracle(GaussianOracle(self.PROB2, VP))
+        x0 = self.PROB2.mean_given_endpoint(xT) + np.array([0.3, -0.1])
+        assert encode(VP, hooked, x0, xT, grid).tobytes() == encode(VP, plain, x0, xT, grid).tobytes()
+        assert hooked.prepared == [grid.times]
+
+
 class TestEncodeDecode:
     def test_roundtrip_identity(self):
         grid = make_grid(GridKind.UNIFORM_WITH_BOOT_STEP, 1000, t_min=1e-4, boot_gap=1e-4)

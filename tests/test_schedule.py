@@ -199,3 +199,22 @@ class TestScheduleValidation:
             NoiseSchedule.brownian_bridge(0.0)
         with pytest.raises(TimeOutOfRange):
             NoiseSchedule.brownian_bridge(1.0, horizon=-2.0)
+
+
+class TestScheduleHashAndUnderflow:
+    def test_equal_schedules_hash_equal_also_after_pickling(self):
+        import pickle
+
+        for schedule in ALL_SCHEDULES:
+            twin = NoiseSchedule(schedule.kind, schedule.params, schedule.horizon)
+            assert twin == schedule and hash(twin) == hash(schedule)
+            copy = pickle.loads(pickle.dumps(schedule))
+            assert copy == schedule and hash(copy) == hash(schedule)
+            assert coeffs(copy, 0.5) == coeffs(schedule, 0.5)
+
+    @pytest.mark.parametrize("schedule", [NoiseSchedule.vp(), NoiseSchedule.brownian_bridge(0.5)])
+    def test_sigma2_underflow_is_degenerate(self, schedule):
+        # VP: log α_t rounds to 0; Brownian bridge: β t rounds to 0
+        for fn in (schedule.log_sigma2, schedule.log_snr, lambda t: coeffs(schedule, t)):
+            with pytest.raises(DegenerateCoefficient):
+                fn(5e-324)
