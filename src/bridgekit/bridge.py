@@ -54,21 +54,6 @@ class VarianceParam:
         return cls(eta=math.nan, rhos=rhos)
 
 
-@dataclass(frozen=True)
-class BridgeState:
-    """State x at time t, conditioned on the fixed endpoint x_T."""
-
-    x: np.ndarray
-    t: float
-    x_T: np.ndarray
-
-    def __post_init__(self):
-        if np.shape(self.x) != np.shape(self.x_T):
-            raise DimensionMismatch(
-                f"state shape {np.shape(self.x)} != endpoint shape {np.shape(self.x_T)}"
-            )
-
-
 def eta_rho(schedule: NoiseSchedule, t_n: float, t_next: float, eta: float) -> float:
     """ρ_n = η σ_{t_n} √(1 − SNR_{t_{n+1}}/SNR_{t_n}) for a single step t_n < t_{n+1}."""
     ratio = math.exp(schedule.log_snr(t_next) - schedule.log_snr(t_n))

@@ -28,6 +28,8 @@ from .oracle import GaussianBridgeProblem, GaussianOracle, PerturbedOracle
 from .samplers import (
     Method,
     SamplerConfig,
+    _CountingPredictor,
+    _GridCoeffs,
     decode,
     drift_dbim,
     drift_pfode,
@@ -151,19 +153,27 @@ def _steps(value, name: str) -> int:
     return n
 
 
-def _check_coeffs(sched: NoiseSchedule, grid: TimeGrid, ctx: str) -> None:
-    """Evaluate the bridge coefficients at every grid time, as the samplers will.
+def _rows(value, name: str, dim: int, least: int = 1) -> int:
+    """``value`` as a count of at least ``least`` rows, with rows × ``dim`` at most MAX_BATCH_ENTRIES."""
+    n = _number(value, name, integer=True)
+    if n < least:
+        raise ConfigInvalid(f"{name} must be >= {least}, got {n}")
+    if n * dim > MAX_BATCH_ENTRIES:
+        raise ConfigInvalid(
+            f"{name} × dimension must be at most {MAX_BATCH_ENTRIES}, got {n} × {dim}"
+        )
+    return n
 
-    ``coeffs`` is cached, so the samplers' own tabulation reuses these.
-    """
-    try:
-        for t in grid.times:
-            coeffs(sched, t)
-    except BridgekitError as exc:
-        raise ConfigInvalid(f"{ctx}: {exc}") from exc
+
+def _grid_with_steps(grid: TimeGrid, n: int) -> TimeGrid:
+    """A grid of the kind and parameters of ``grid``, with ``n`` steps."""
+    return make_grid(
+        grid.kind, n, t_min=grid.t_min, t_max=grid.t_max,
+        boot_gap=grid.boot_gap, edm_exponent=grid.edm_exponent,
+    )
 
 
-def _build_grid(spec: dict, horizon: float) -> TimeGrid:
+def _build_grid(spec: dict, sched: NoiseSchedule) -> TimeGrid:
     kind_name = spec.get("kind", "uniform_boot")
     try:
         kind = GridKind(kind_name)
@@ -173,12 +183,16 @@ def _build_grid(spec: dict, horizon: float) -> TimeGrid:
     n_steps = _steps(_require(spec, "n_steps", "grid"), "grid.n_steps")
     params = {
         key: _number(spec.get(key, default), f"grid.{key}")
-        for key, default in (("t_min", 1e-4), ("t_max", horizon), ("boot_gap", 1e-4), ("edm_exponent", 7.0))
+        for key, default in (("t_min", 1e-4), ("t_max", sched.horizon), ("boot_gap", 1e-4), ("edm_exponent", 7.0))
     }
     try:
-        return make_grid(kind, n_steps, **params)
+        grid = make_grid(kind, n_steps, **params)
+        # the samplers' coefficient table: building it checks that the grid
+        # ends at the horizon and evaluates (and caches) every coefficient
+        _GridCoeffs.build(sched, grid)
     except BridgekitError as exc:
         raise ConfigInvalid(f"grid: {exc}") from exc
+    return grid
 
 
 def load_config(raw: dict, out_override: str | None = None, seed_override: int | None = None) -> RunConfig:
@@ -214,12 +228,7 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
             raise ConfigInvalid("x0 has non-finite entries")
     bias = _number(pspec.get("bias", 0.0), "problem.bias")
 
-    grid = _build_grid(_section(raw, "grid"), sched.horizon)
-    if grid.t_max != sched.horizon:
-        raise ConfigInvalid(
-            f"grid t_max={grid.t_max} must equal the schedule horizon {sched.horizon}"
-        )
-    _check_coeffs(sched, grid, "grid")
+    grid = _build_grid(_section(raw, "grid"), sched)
 
     sspec = _section(raw, "sampler")
     method_name = _require(sspec, "method", "sampler")
@@ -241,13 +250,9 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
             raise ConfigInvalid(f"experiment '{experiment}' requires sampler.n_steps_sweep")
         for n in sweep:
             try:
-                sweep_grid = make_grid(
-                    grid.kind, n, t_min=grid.t_min, t_max=grid.t_max,
-                    boot_gap=grid.boot_gap, edm_exponent=grid.edm_exponent,
-                )
+                _GridCoeffs.build(sched, _grid_with_steps(grid, n))
             except BridgekitError as exc:
                 raise ConfigInvalid(f"n_steps_sweep entry {n}: {exc}") from exc
-            _check_coeffs(sched, sweep_grid, f"n_steps_sweep entry {n}")
 
     seed = _number(raw.get("seed", 0) if seed_override is None else seed_override, "seed", integer=True)
     if not 0 <= seed < 2 ** 64:
@@ -256,18 +261,11 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     if not isinstance(output, str):
         raise ConfigInvalid(f"output must be a path string, got {output!r}")
     out_dir = Path(output)
-    n_traj = _number(raw.get("n_trajectories", 100), "n_trajectories", integer=True)
-    if n_traj < 1:
-        raise ConfigInvalid(f"n_trajectories must be >= 1, got {n_traj}")
-    if n_traj * problem.dim > MAX_BATCH_ENTRIES:
-        raise ConfigInvalid(
-            f"n_trajectories × dimension must be at most {MAX_BATCH_ENTRIES}, "
-            f"got {n_traj} × {problem.dim}"
-        )
+    n_traj = _rows(raw.get("n_trajectories", 100), "n_trajectories", problem.dim)
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise ConfigInvalid("options must be a JSON object")
-    options = _typed_options(options)
+    options = _typed_options(options, problem.dim)
 
     # construct the sampler config now so its validation also runs up front
     try:
@@ -282,14 +280,16 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     )
 
 
-def _typed_options(options: dict) -> dict:
-    """A copy of ``options`` with the keys the experiments read checked and typed."""
+def _typed_options(options: dict, dim: int) -> dict:
+    """A copy of ``options`` with the keys the experiments read checked and typed.
+
+    The counts are row counts of arrays of dimension ``dim``; a diversity
+    score needs at least two samples per condition.
+    """
     out = dict(options)
-    for key in ("n_points", "n_conditions", "samples_per_condition"):
+    for key, least in (("n_points", 1), ("n_conditions", 1), ("samples_per_condition", 2)):
         if key in out:
-            out[key] = _number(out[key], f"options.{key}", integer=True)
-            if out[key] < 1:
-                raise ConfigInvalid(f"options.{key} must be >= 1, got {out[key]}")
+            out[key] = _rows(out[key], f"options.{key}", dim, least)
     if "t_range" in out:
         t_range = out["t_range"]
         if not isinstance(t_range, list) or len(t_range) != 2:
@@ -327,29 +327,22 @@ def _predictor(cfg: RunConfig):
     return base
 
 
-def _grid_with_steps(cfg: RunConfig, n: int) -> TimeGrid:
-    return make_grid(
-        cfg.grid.kind, n, t_min=cfg.grid.t_min, t_max=cfg.grid.t_max,
-        boot_gap=cfg.grid.boot_gap, edm_exponent=cfg.grid.edm_exponent,
-    )
-
-
 # --- experiments ------------------------------------------------------------
 
 
-def _exp_sample(cfg: RunConfig, predictor, threads: int):
+def _exp_sample(cfg: RunConfig, predictor):
     scfg = SamplerConfig(method=cfg.method, grid=cfg.grid, seed=cfg.seed, eta=cfg.eta)
-    terminal, _, calls = sample_batch(scfg, cfg.schedule, predictor, cfg.x_T, cfg.n_trajectories, threads)
+    terminal, _, _ = sample_batch(scfg, cfg.schedule, predictor, cfg.x_T, cfg.n_trajectories)
     header = ["traj_id"] + [f"coord_{i}" for i in range(cfg.problem.dim)]
     rows = [[i, *row] for i, row in enumerate(terminal.tolist())]
     metrics = {
         "terminal_mean_norm": float(np.linalg.norm(terminal.mean(axis=0))),
         "terminal_mean_var": float(terminal.var(axis=0, ddof=1).mean()),
     }
-    return "sample.csv", header, rows, metrics, calls * cfg.n_trajectories
+    return "sample.csv", header, rows, metrics
 
 
-def _exp_marginals(cfg: RunConfig, predictor, threads: int):
+def _exp_marginals(cfg: RunConfig, predictor):
     x0 = cfg.x0 if cfg.x0 is not None else cfg.problem.mean_given_endpoint(cfg.x_T)
     rhos = make_rhos(cfg.schedule, cfg.grid, cfg.eta)
     states = simulate_inference_chain(
@@ -373,10 +366,10 @@ def _exp_marginals(cfg: RunConfig, predictor, threads: int):
             max_var_dev = max(max_var_dev, abs(emp_var - k.c * k.c) / (k.c * k.c))
         max_z = max(max_z, report.max_abs_z)
     header = ["t", "coord", "emp_mean", "tgt_mean", "emp_var", "tgt_var", "z"]
-    return "marginals.csv", header, rows, {"max_abs_z": max_z, "max_var_rel_dev": max_var_dev}, 0
+    return "marginals.csv", header, rows, {"max_abs_z": max_z, "max_var_rel_dev": max_var_dev}
 
 
-def _exp_drift_check(cfg: RunConfig, predictor, threads: int):
+def _exp_drift_check(cfg: RunConfig, predictor):
     n_points = cfg.options.get("n_points", 1000)
     lo, hi = cfg.options.get("t_range", (0.01, 0.99))
     rng = np.random.default_rng(cfg.seed)
@@ -397,21 +390,19 @@ def _exp_drift_check(cfg: RunConfig, predictor, threads: int):
         devs.append(rel)
         rows.append([i, t, rel])
     header = ["idx", "t", "rel_dev"]
-    return "drift_check.csv", header, rows, {"max_rel_dev": max(devs)}, 2 * n_points
+    return "drift_check.csv", header, rows, {"max_rel_dev": max(devs)}
 
 
-def _exp_convergence(cfg: RunConfig, predictor, threads: int):
+def _exp_convergence(cfg: RunConfig, predictor):
     # imported on use: only this experiment needs scipy.integrate
     from scipy.integrate import solve_ivp
 
     rows = []
     errs = []
-    calls = 0
     for n in cfg.n_steps_sweep:
-        grid = _grid_with_steps(cfg, n)
+        grid = _grid_with_steps(cfg.grid, n)
         scfg = SamplerConfig(method=cfg.method, grid=grid, seed=cfg.seed, eta=cfg.eta)
         traj = run_sampler(scfg, cfg.schedule, predictor, cfg.x_T)
-        calls += traj.predictor_calls
         boot_state = traj.states[1][1]
         sol = solve_ivp(
             lambda t, y: drift_pfode(cfg.schedule, predictor, y, t, cfg.x_T),
@@ -425,10 +416,10 @@ def _exp_convergence(cfg: RunConfig, predictor, threads: int):
     metrics = {}
     if len(errs) >= 3 and min(errs) > 0:
         metrics["fitted_slope"] = fit_order(cfg.n_steps_sweep, errs)
-    return "convergence.csv", header, rows, metrics, calls
+    return "convergence.csv", header, rows, metrics
 
 
-def _exp_roundtrip(cfg: RunConfig, predictor, threads: int):
+def _exp_roundtrip(cfg: RunConfig, predictor):
     rng = np.random.default_rng(cfg.seed)
     draws = cfg.problem.sample_x0(cfg.x_T, cfg.n_trajectories, rng)
     rows = []
@@ -441,10 +432,10 @@ def _exp_roundtrip(cfg: RunConfig, predictor, threads: int):
         worst = max(worst, rel)
         rows.append([i, rel])
     header = ["traj_id", "recon_rel_err"]
-    return "roundtrip.csv", header, rows, {"max_recon_rel_err": worst}, 0
+    return "roundtrip.csv", header, rows, {"max_recon_rel_err": worst}
 
 
-def _exp_interpolate(cfg: RunConfig, predictor, threads: int):
+def _exp_interpolate(cfg: RunConfig, predictor):
     weights = cfg.options.get("weights", [0.0, 0.25, 0.5, 0.75, 1.0])
     rng = np.random.default_rng(cfg.seed)
     eps_a = rng.standard_normal(cfg.problem.dim)
@@ -455,10 +446,10 @@ def _exp_interpolate(cfg: RunConfig, predictor, threads: int):
         x = decode(cfg.schedule, predictor, eps, cfg.x_T, cfg.grid)
         rows.append([w, *x.tolist()])
     header = ["w"] + [f"coord_{i}" for i in range(cfg.problem.dim)]
-    return "interpolate.csv", header, rows, {"n_weights": float(len(weights))}, 0
+    return "interpolate.csv", header, rows, {"n_weights": float(len(weights))}
 
 
-def _exp_diversity(cfg: RunConfig, predictor, threads: int):
+def _exp_diversity(cfg: RunConfig, predictor):
     n_conditions = cfg.options.get("n_conditions", 8)
     per_condition = cfg.options.get("samples_per_condition", 5)
     rng = np.random.default_rng(cfg.seed)
@@ -466,17 +457,17 @@ def _exp_diversity(cfg: RunConfig, predictor, threads: int):
     rows = []
     metrics = {}
     for n in cfg.n_steps_sweep:
-        grid = _grid_with_steps(cfg, n)
+        grid = _grid_with_steps(cfg.grid, n)
         scores = []
         for j in range(n_conditions):
             scfg = SamplerConfig(method=cfg.method, grid=grid, seed=cfg.seed + 1 + j, eta=cfg.eta)
-            terminal, _, _ = sample_batch(scfg, cfg.schedule, predictor, conditions[j], per_condition, threads)
+            terminal, _, _ = sample_batch(scfg, cfg.schedule, predictor, conditions[j], per_condition)
             score = diversity_score(terminal)
             scores.append(score)
             rows.append([j, n, cfg.eta, score])
         metrics[f"mean_diversity_n{n}"] = float(np.mean(scores))
     header = ["condition_id", "n_steps", "eta", "score"]
-    return "diversity.csv", header, rows, metrics, 0
+    return "diversity.csv", header, rows, metrics
 
 
 _RUNNERS = {
@@ -491,11 +482,16 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig, threads: int = 1) -> int:
-    """Execute one experiment; returns the process exit code."""
-    start = time.time()
-    predictor = _predictor(cfg)
+    """Execute one experiment; returns the process exit code.
+
+    The report's ``predictor_calls`` is the number of ``predict`` calls the
+    experiment made, counted in one place around its predictor; a batched
+    call counts once.  ``threads`` is only echoed in the report.
+    """
+    start = time.perf_counter()
+    predictor = _CountingPredictor(_predictor(cfg))
     try:
-        csv_name, header, rows, metrics, calls = _RUNNERS[cfg.experiment](cfg, predictor, threads)
+        csv_name, header, rows, metrics = _RUNNERS[cfg.experiment](cfg, predictor)
     except BridgekitError as exc:
         raise NumericalFailure(cfg.experiment, str(exc)) from exc
     for value in metrics.values():
@@ -507,8 +503,8 @@ def run(cfg: RunConfig, threads: int = 1) -> int:
     report = RunReport(
         config=cfg.raw,
         metrics=metrics,
-        wall_time_s=time.time() - start,
-        predictor_calls=calls,
+        wall_time_s=time.perf_counter() - start,
+        predictor_calls=predictor.calls,
     ).as_dict()
     report.update({
         "resolved": {

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from .errors import DimensionMismatch, InvalidGridParams, SingularCovariance
 
@@ -87,11 +86,9 @@ def wasserstein2_gaussian(mean_a, cov_a, mean_b, cov_b) -> float:
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (mat + mat.T)
-    root = sqrtm(sym)
-    if np.iscomplexobj(root):
-        root = root.real
-    return 0.5 * (root + root.T)
+    """Symmetric square root of the symmetric part of ``mat``, negative eigenvalues clipped to 0."""
+    w, v = np.linalg.eigh(0.5 * (mat + mat.T))
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
 def fit_order(step_counts, errors) -> float:

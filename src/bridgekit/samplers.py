@@ -404,7 +404,7 @@ def _prepare(predictor, times) -> None:
 
 
 class _CountingPredictor:
-    """Passes calls through to a predictor and counts them."""
+    """Counts ``predict`` calls; every other attribute is the wrapped predictor's."""
 
     def __init__(self, predictor):
         self.predictor = predictor
@@ -413,6 +413,10 @@ class _CountingPredictor:
     def predict(self, x, t, xT):
         self.calls += 1
         return self.predictor.predict(x, t, xT)
+
+    def __getattr__(self, name):
+        # reached only for names the counter lacks, such as prepare and linearize
+        return getattr(self.predictor, name)
 
 
 def _run_chunk(method, gc, rhos, schedule, predictor, xT, eps_boot, philox, record):

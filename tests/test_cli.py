@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import bridgekit.schedule
 from bridgekit import fit_order
-from bridgekit.cli import load_config, main, run, selftest
+from bridgekit.cli import EXPERIMENTS, MAX_BATCH_ENTRIES, load_config, main, run, selftest
 from bridgekit.errors import ConfigInvalid
+from bridgekit.oracle import GaussianOracle
 
 
 def base_config(**overrides):
@@ -134,6 +135,13 @@ class TestConfigValidation:
         ("n_trajectories", 2 ** 62, None),
         ("grid.n_steps", 2 ** 62, None),
         ("sampler.n_steps_sweep", [2 ** 62], None),
+        # experiment options far above the limits, and a single sample per
+        # condition, which has no diversity score
+        (("experiment", "sampler.n_steps_sweep", "options.samples_per_condition"),
+         ("diversity", [4], 2 ** 62), None),
+        (("experiment", "sampler.n_steps_sweep", "options.n_conditions"), ("diversity", [4], 2 ** 62), None),
+        (("experiment", "sampler.n_steps_sweep", "options.samples_per_condition"), ("diversity", [4], 1), None),
+        (("experiment", "options.n_points"), ("drift-check", 2 ** 62), None),
     ])
     def test_non_finite_input_or_bad_env_exits_2_without_output(self, tmp_path, monkeypatch, key, value, env):
         cfg = base_config()
@@ -168,6 +176,13 @@ class TestConfigValidation:
         for cfg in (too_many, too_deep, sweep_too_deep):
             with pytest.raises(ConfigInvalid, match="at most"):
                 load_config(cfg)
+
+    @pytest.mark.parametrize("key", ["n_points", "n_conditions", "samples_per_condition"])
+    def test_option_count_limits(self, key):
+        at_limit = MAX_BATCH_ENTRIES // 2  # the problem has d = 2
+        assert load_config(base_config(options={key: at_limit})).options[key] == at_limit
+        with pytest.raises(ConfigInvalid, match="at most"):
+            load_config(base_config(options={key: at_limit + 1}))
 
     @pytest.mark.parametrize("key,value", [("schedule", "kind"), ("grid", 5), ("output", 5)])
     def test_ill_shaped_section_or_output_rejected(self, key, value):
@@ -231,6 +246,74 @@ class TestConfigFuzz:
             assert code in (0, 2, 3)
             if code == 2:
                 assert not out.exists()
+
+
+def _small_options_config(experiment, options):
+    cfg = _small_sample_config({"kind": "brownian_bridge", "beta": 1.0, "horizon": 1.0})
+    cfg["experiment"] = experiment
+    cfg["sampler"]["n_steps_sweep"] = [4]
+    cfg["options"] = options
+    return cfg
+
+
+_OPTIONS_FUZZ_BASES = (
+    _small_options_config("diversity", {"n_conditions": 2, "samples_per_condition": 3}),
+    _small_options_config("drift-check", {"n_points": 5, "t_range": [0.1, 0.9]}),
+)
+# the options section, every option of either base, and the step sweep
+_OPTIONS_FUZZ_PATHS = (("options",), ("sampler", "n_steps_sweep")) + tuple(sorted({
+    ("options", name) for cfg in _OPTIONS_FUZZ_BASES for name in cfg["options"]
+}))
+
+
+class TestOptionsFuzz:
+    # the space is 2 × 6 × 17 = 204 cases, so this enumerates all of them
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(
+        base=st.sampled_from(_OPTIONS_FUZZ_BASES),
+        path=st.sampled_from(_OPTIONS_FUZZ_PATHS),
+        value=st.sampled_from(_MUTANTS),
+    )
+    def test_mutated_options_exit_0_2_or_3(self, base, path, value):
+        cfg = json.loads(json.dumps(base))
+        owner = cfg
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "cfg.json"
+            config.write_text(json.dumps(cfg))
+            out = Path(tmp) / "out"
+            code = main(["run", "--config", str(config), "--out", str(out), "--threads", "1"])
+            assert code in (0, 2, 3)
+            if code == 2:
+                assert not out.exists()
+
+
+class TestReport:
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_predictor_calls_match_the_oracle(self, tmp_path, monkeypatch, experiment):
+        # count at the class, below every wrapper the experiment may use
+        calls = []
+        predict = GaussianOracle.predict
+
+        def spy(self, x, t, xT):
+            calls.append(t)
+            return predict(self, x, t, xT)
+
+        monkeypatch.setattr(GaussianOracle, "predict", spy)
+        raw = base_config(experiment=experiment, n_trajectories=4, options={
+            "n_points": 5, "n_conditions": 2, "samples_per_condition": 3, "weights": [0.0, 0.5, 1.0],
+        })
+        raw["grid"]["n_steps"] = 6
+        raw["sampler"]["n_steps_sweep"] = [4, 8]
+        assert run(load_config(raw, out_override=str(tmp_path / "o"))) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["predictor_calls"] == len(calls)
+        assert (len(calls) == 0) == (experiment == "marginals")
+        if experiment == "sample":
+            # one batched call per grid step, whatever the batch size
+            assert len(calls) == 6
 
 
 class TestExperiments:

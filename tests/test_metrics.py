@@ -66,6 +66,19 @@ class TestWasserstein:
         d = wasserstein2_gaussian([0.0], [[1.0]], [0.0], [[4.0]])
         np.testing.assert_allclose(d, 1.0, rtol=1e-10)
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_commuting_covariances_exact(self, d):
+        # Q diag(a) Qᵀ and Q diag(b) Qᵀ share eigenvectors, so
+        # W2² = |Δm|² + Σ (√a_i − √b_i)²
+        rng = np.random.default_rng(d)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        a = rng.uniform(0.1, 3.0, d)
+        b = rng.uniform(0.1, 3.0, d)
+        ma, mb = rng.standard_normal(d), rng.standard_normal(d)
+        w2 = wasserstein2_gaussian(ma, (q * a) @ q.T, mb, (q * b) @ q.T)
+        exact = np.sum((ma - mb) ** 2) + np.sum((np.sqrt(a) - np.sqrt(b)) ** 2)
+        np.testing.assert_allclose(w2 ** 2, exact, rtol=1e-12, atol=1e-14 * np.sum(a + b))
+
 
 class TestFitOrder:
     def test_linear(self):
