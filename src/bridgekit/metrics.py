@@ -78,11 +78,14 @@ def wasserstein2_gaussian(mean_a, cov_a, mean_b, cov_b) -> float:
     d = mean_a.shape[0]
     cov_a = _as_cov(cov_a, d)
     cov_b = _as_cov(cov_b, d)
+    # The Bures term tr A + tr B − 2 tr √(√B A √B) is min ‖√A − U √B‖²_F over
+    # orthogonal U, attained at U = P Qᵀ where √A √B = P Σ Qᵀ.  As a sum of
+    # squares it does not cancel to a rounding residue for close A and B.
+    root_a = _psd_sqrt(cov_a)
     root_b = _psd_sqrt(cov_b)
-    cross = _psd_sqrt(root_b @ cov_a @ root_b)
-    bures = float(np.trace(cov_a) + np.trace(cov_b) - 2.0 * np.trace(cross))
-    sq = float(np.sum((mean_a - mean_b) ** 2)) + max(bures, 0.0)
-    return math.sqrt(max(sq, 0.0))
+    p, _, qt = np.linalg.svd(root_a @ root_b)
+    bures = float(np.sum((root_a - p @ qt @ root_b) ** 2))
+    return math.sqrt(float(np.sum((mean_a - mean_b) ** 2)) + bures)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

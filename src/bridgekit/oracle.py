@@ -25,14 +25,25 @@ stacked arrays, in blocks of bounded size, and solves each with one LAPACK
 ``dposv`` call, so each step's ``predict`` finds its gain in the cache.
 Predictors are not required to have ``prepare``; the samplers call it when
 it exists.
+
+``dposv`` is loaded straight from scipy's ``linalg/_flapack`` extension
+module, the one ``scipy.linalg.lapack`` re-exports, so importing the oracle
+does not run the ``scipy.linalg`` package ``__init__``, which pulls in
+``numpy.f2py`` and ``charset_normalizer`` and was more than half of the
+package's import time and about 19 MB of its resident memory.  The
+extension is not left in ``sys.modules``; where its file is not found, the
+oracle imports ``scipy.linalg.lapack`` instead.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
 from .errors import (
     BridgekitError,
@@ -48,6 +59,36 @@ _JITTER = 1e-10
 _GAIN_CACHE_MAX = 65536
 # doubles per stacked array in GaussianOracle.prepare: 1 MB, 32 systems at d=64
 _STACK_ELEMS = 1 << 17
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_dposv(scipy_dirs):
+    """LAPACK ``dposv`` from the ``linalg/_flapack`` extension under ``scipy_dirs``.
+
+    Falls back to ``scipy.linalg.lapack`` when no such file exists, or when
+    ``scipy.linalg`` has loaded the extension already.
+    """
+    paths = (
+        os.path.join(root, "linalg", "_flapack" + suffix)
+        for root in scipy_dirs
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    )
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None or _FLAPACK in sys.modules:
+        from scipy.linalg.lapack import dposv
+
+        return dposv
+    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader))
+    loader.exec_module(module)
+    # single-phase init registers the module by itself, as if scipy.linalg
+    # were imported; a later import of scipy.linalg registers it again
+    sys.modules.pop(_FLAPACK, None)
+    return module.dposv
+
+
+_scipy_spec = importlib.util.find_spec("scipy")
+dposv = _load_dposv(_scipy_spec.submodule_search_locations if _scipy_spec else ())
 
 
 @dataclass(frozen=True)

@@ -404,6 +404,17 @@ class TestDeterminism:
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "b"), "--threads", "1"]) == 0
         assert (tmp_path / "a" / "sample.csv").read_bytes() == (tmp_path / "b" / "sample.csv").read_bytes()
 
+    def test_second_run_reuses_cached_coeffs(self, tmp_path):
+        # each run builds a new but equal NoiseSchedule; the coefficient
+        # cache serves it the BridgeCoeffs the first run computed
+        p = write_config(tmp_path, base_config(n_trajectories=4))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "a")]) == 0
+        before = bridgekit.schedule.coeffs.cache_info()
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "b")]) == 0
+        after = bridgekit.schedule.coeffs.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+
     def test_thread_count_invariance(self, tmp_path):
         cfg_raw = base_config(n_trajectories=600)
         p = write_config(tmp_path, cfg_raw)

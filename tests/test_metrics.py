@@ -79,6 +79,41 @@ class TestWasserstein:
         exact = np.sum((ma - mb) ** 2) + np.sum((np.sqrt(a) - np.sqrt(b)) ** 2)
         np.testing.assert_allclose(w2 ** 2, exact, rtol=1e-12, atol=1e-14 * np.sum(a + b))
 
+    def test_identical_at_rounding_level(self):
+        # the Bures term is a sum of squares, so nothing cancels to a
+        # rounding residue that the square root then lifts to ~1e-8
+        cov = np.array([[1.5, 0.4], [0.4, 0.9]])
+        assert wasserstein2_gaussian([0.3, 0.1], cov, [0.3, 0.1], cov) <= 1e-14
+
+    def test_resolves_relative_scaling(self):
+        # N(0, A) against N(0, (1+ε)² A): √B = (1+ε)√A, so W2 = ε √tr A.
+        # Rounding the two roots (~1e-16) against ε bounds the relative
+        # error near 1e-7 times a conditioning factor; the trace form gives 1.
+        eps = 1e-9
+        for d in range(1, 65):
+            rng = np.random.default_rng(d)
+            r = rng.standard_normal((d, d))
+            cov = r @ r.T / d + 0.1 * np.eye(d)
+            w2 = wasserstein2_gaussian(np.zeros(d), cov, np.zeros(d), (1 + eps) ** 2 * cov)
+            np.testing.assert_allclose(w2, eps * np.sqrt(np.trace(cov)), rtol=1e-5, err_msg=f"d={d}")
+
+    def test_matches_trace_form_on_order_one_pairs(self):
+        # W2² = |Δm|² + tr A + tr B − 2 tr √(√B A √B), accurate when W2 is O(1)
+        def root(m):
+            w, v = np.linalg.eigh(m)
+            return (v * np.sqrt(w)) @ v.T
+
+        rng = np.random.default_rng(11)
+        for d in range(1, 65):
+            r1, r2 = rng.standard_normal((2, d, d))
+            a = r1 @ r1.T / d + 0.1 * np.eye(d)
+            b = r2 @ r2.T / d + 0.1 * np.eye(d)
+            ma, mb = rng.standard_normal((2, d))
+            rb = root(b)
+            trace_form = np.sum((ma - mb) ** 2) + np.trace(a) + np.trace(b) - 2 * np.trace(root(rb @ a @ rb))
+            w2 = wasserstein2_gaussian(ma, a, mb, b)
+            np.testing.assert_allclose(w2 ** 2, trace_form, rtol=1e-12, err_msg=f"d={d}")
+
 
 class TestFitOrder:
     def test_linear(self):

@@ -212,6 +212,17 @@ class TestScheduleHashAndUnderflow:
             assert copy == schedule and hash(copy) == hash(schedule)
             assert coeffs(copy, 0.5) == coeffs(schedule, 0.5)
 
+    def test_schedules_differing_in_one_field_are_unequal(self):
+        base = NoiseSchedule.vp(0.1, 20.0, horizon=1.0)
+        for other in (
+            NoiseSchedule.ve(0.1, 20.0, horizon=1.0),  # kind
+            NoiseSchedule.vp(0.1, 19.0, horizon=1.0),  # params
+            NoiseSchedule.vp(0.1, 20.0, horizon=2.0),  # horizon
+        ):
+            assert other != base and not other == base
+        assert base == base
+        assert base != (base.kind, base.params, base.horizon)
+
     @pytest.mark.parametrize("schedule", [NoiseSchedule.vp(), NoiseSchedule.brownian_bridge(0.5)])
     def test_sigma2_underflow_is_degenerate(self, schedule):
         # VP: log α_t rounds to 0; Brownian bridge: β t rounds to 0
