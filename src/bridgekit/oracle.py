@@ -31,8 +31,8 @@ module, the one ``scipy.linalg.lapack`` re-exports, so importing the oracle
 does not run the ``scipy.linalg`` package ``__init__``, which pulls in
 ``numpy.f2py`` and ``charset_normalizer`` and was more than half of the
 package's import time and about 19 MB of its resident memory.  The
-extension is not left in ``sys.modules``; where its file is not found, the
-oracle imports ``scipy.linalg.lapack`` instead.
+extension is not left in ``sys.modules``; where its file is not found or
+does not load, the oracle imports ``scipy.linalg.lapack`` instead.
 """
 
 from __future__ import annotations
@@ -65,8 +65,10 @@ _FLAPACK = "scipy.linalg._flapack"
 def _load_dposv(scipy_dirs):
     """LAPACK ``dposv`` from the ``linalg/_flapack`` extension under ``scipy_dirs``.
 
-    Falls back to ``scipy.linalg.lapack`` when no such file exists, or when
-    ``scipy.linalg`` has loaded the extension already.
+    Falls back to ``scipy.linalg.lapack`` when no such file exists, when the
+    file does not load on its own (scipy's package ``__init__`` may be what
+    makes its shared-library dependencies findable, as on Windows wheels),
+    or when ``scipy.linalg`` has loaded the extension already.
     """
     paths = (
         os.path.join(root, "linalg", "_flapack" + suffix)
@@ -74,17 +76,23 @@ def _load_dposv(scipy_dirs):
         for suffix in importlib.machinery.EXTENSION_SUFFIXES
     )
     path = next((p for p in paths if os.path.isfile(p)), None)
-    if path is None or _FLAPACK in sys.modules:
-        from scipy.linalg.lapack import dposv
+    if path is not None and _FLAPACK not in sys.modules:
+        loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+            return module.dposv
+        except (ImportError, OSError):
+            pass
+        finally:
+            # single-phase init registers the module by itself, as if
+            # scipy.linalg were imported; a later import of scipy.linalg
+            # registers it again
+            sys.modules.pop(_FLAPACK, None)
+    from scipy.linalg.lapack import dposv
 
-        return dposv
-    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
-    module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader))
-    loader.exec_module(module)
-    # single-phase init registers the module by itself, as if scipy.linalg
-    # were imported; a later import of scipy.linalg registers it again
-    sys.modules.pop(_FLAPACK, None)
-    return module.dposv
+    return dposv
 
 
 _scipy_spec = importlib.util.find_spec("scipy")

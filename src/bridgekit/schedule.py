@@ -84,15 +84,6 @@ class NoiseSchedule:
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other) -> bool:
-        # coeffs() compares a new but equal schedule with the cached one on
-        # every lookup; the generated __eq__ builds two field tuples first
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kind is other.kind and self.params == other.params and self.horizon == other.horizon
-
     def __reduce__(self):
         # rebuild through the constructor: str hashes, and so the cached
         # hash, differ between interpreters

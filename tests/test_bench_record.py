@@ -1,6 +1,7 @@
 """Summaries that ``tools/bench_record.py`` writes into ``BENCH_<n>.json``."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,19 @@ def test_wins_follow_direction_and_ignore_ties():
         {"parent": _run(run_s=0.3, rate=1.0), "change": _run(run_s=0.2, rate=3.0)},
     ]
     assert bench_record.wins(pairs, {"run_s": "lower", "rate": "higher"}) == {"run_s": 2, "rate": 2}
+
+
+def test_commit_names_head_and_refuses_uncommitted_changes(tmp_path):
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              cwd=tmp_path, capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("a\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "a")
+    (tmp_path / "untracked.txt").write_text("ignored by the check\n")
+    assert bench_record.commit(tmp_path) == git("rev-parse", "--short", "HEAD")
+    (tmp_path / "a.txt").write_text("b\n")
+    with pytest.raises(SystemExit, match="uncommitted changes"):
+        bench_record.commit(tmp_path)

@@ -125,3 +125,19 @@ def test_missing_extension_falls_back_to_scipy_lapack(tmp_path):
         print(json.dumps(dposv is scipy.linalg.lapack.dposv))
     """, str(tmp_path))
     assert out is True
+
+
+def test_unloadable_extension_falls_back_to_scipy_lapack(tmp_path):
+    out = run_fresh("""
+        import importlib.machinery, json, os, sys
+        from bridgekit import oracle
+        linalg = os.path.join(sys.argv[1], "linalg")
+        os.mkdir(linalg)
+        with open(os.path.join(linalg, "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0]), "wb") as f:
+            f.write(b"not a shared object")
+        dposv = oracle._load_dposv([sys.argv[1]])
+        import scipy.linalg.lapack
+        print(json.dumps([dposv is scipy.linalg.lapack.dposv,
+                          sys.modules["scipy.linalg._flapack"] is scipy.linalg.lapack._flapack]))
+    """, str(tmp_path))
+    assert out == [True, True]

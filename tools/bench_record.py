@@ -7,18 +7,21 @@ Run from the root of a bridgekit source tree:
 
 For each workload and seed this runs ``python3 perfbench/run.py --workload W
 --seed S --seconds SECONDS --trace 0`` in the current tree (side
-``change``) and, with ``--parent DIR``, in that tree too (side ``parent``),
-each tree with its own ``perfbench/``.  The two sides of a pair run back to
-back, the parent first in the first, third, ... pair and second in the
-others, so a drift of the host does not favour either side.
+``change``) and in the ``--parent`` tree (side ``parent``), each tree with
+its own ``perfbench/``; SECONDS is ``run_seconds`` of the current tree's
+``BENCHMARK.json``.  The two sides of a pair run back to back, the parent
+first in the first, third, ... pair and second in the others, so a drift of
+the host does not favour either side.
 
-The record holds the ``env`` line of the last invocation, every
-invocation's metric values, sample count and fail counts, and per workload
-and side each metric's median,
-interquartile range (IQR) and number of invocations.  With a parent it also
-holds, per metric, the number of pairs the change won, ties counting for
-neither side.  A ``history`` list already present in the output file is
-kept, so earlier measurements can be carried alongside.
+Both trees must be git checkouts without uncommitted changes to tracked
+files, so that the commit each side records is the code it measured.
+
+The record holds the ``env`` line of the last invocation, the commit of
+each side, every invocation's metric values, sample count and fail counts,
+per workload and side each metric's median, interquartile range (IQR) and
+number of invocations, and per metric the number of pairs the change won,
+ties counting for neither side.  A ``history`` list already present in the
+output file is kept, so earlier measurements can be carried alongside.
 """
 
 from __future__ import annotations
@@ -49,10 +52,14 @@ def invoke(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def describe(tree: Path) -> str | None:
-    """``git describe --always --dirty`` of ``tree``, or None outside a git checkout."""
-    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree, capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+def commit(tree: Path) -> str:
+    """The commit checked out in ``tree``; exits if ``tree`` has uncommitted changes to tracked files."""
+    head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=tree, capture_output=True, text=True, check=True)
+    status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=tree,
+                            capture_output=True, text=True, check=True)
+    if status.stdout.strip():
+        sys.exit(f"{tree} has uncommitted changes; commit them so the record names the code it measured")
+    return head.stdout.strip()
 
 
 def summarize(runs: list[dict], units: dict) -> dict:
@@ -85,42 +92,36 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to write")
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length per invocation (default: run_seconds of BENCHMARK.json)")
-    parser.add_argument("--parent", type=Path, default=None, help="tree to pair the current one with")
+    parser.add_argument("--parent", type=Path, required=True, help="tree to pair the current one with")
     args = parser.parse_args(argv)
 
-    change = Path.cwd()
-    spec = json.loads((change / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    trees = {"parent": args.parent.resolve(), "change": Path.cwd()}
+    commits = {side: commit(path) for side, path in trees.items()}
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    trees = {"change": change}
-    if args.parent is not None:
-        trees["parent"] = args.parent.resolve()
 
     workloads = {}
     for workload in args.workloads:
         pairs = []
         for i, seed in enumerate(args.seeds):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-            pair = {"seed": seed, "first": order[0] if args.parent else "change"}
+            pair = {"seed": seed, "first": order[0]}
             for side in order:
-                if side in trees:
-                    env, pair[side] = invoke(trees[side], workload, seed, seconds)
-                    print(f"{workload} seed {seed} {side}: " + json.dumps(pair[side]["metrics"]), flush=True)
+                env, pair[side] = invoke(trees[side], workload, seed, seconds)
+                print(f"{workload} seed {seed} {side}: " + json.dumps(pair[side]["metrics"]), flush=True)
             pairs.append(pair)
         entry = {side: summarize([p[side] for p in pairs], units) for side in trees}
         entry["pairs"] = pairs
-        if args.parent is not None:
-            entry["change_wins"] = wins(pairs, better)
+        entry["change_wins"] = wins(pairs, better)
         workloads[workload] = entry
 
     previous = json.loads(args.out.read_text()) if args.out.exists() else {}
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "env": env,
-        "commits": {side: describe(path) for side, path in trees.items()},
+        "commits": commits,
         "workloads": workloads,
         "history": previous.get("history", []),
     }
