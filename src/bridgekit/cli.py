@@ -261,6 +261,11 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     if not isinstance(output, str):
         raise ConfigInvalid(f"output must be a path string, got {output!r}")
     out_dir = Path(output)
+    # the nearest existing path must be a directory, or creating the output
+    # directory after sampling would fail (a dangling symlink counts as existing)
+    existing = next((p for p in (out_dir, *out_dir.parents) if os.path.lexists(p)), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigInvalid(f"output {output!r}: {str(existing)!r} exists and is not a directory")
     n_traj = _rows(raw.get("n_trajectories", 100), "n_trajectories", problem.dim)
     options = raw.get("options", {})
     if not isinstance(options, dict):

@@ -48,3 +48,16 @@ def test_commit_names_head_and_refuses_uncommitted_changes(tmp_path):
     (tmp_path / "a.txt").write_text("b\n")
     with pytest.raises(SystemExit, match="uncommitted changes"):
         bench_record.commit(tmp_path)
+
+
+def test_environ_records_each_setting_or_null(monkeypatch):
+    for key in bench_record.ENVIRON_KEYS:
+        monkeypatch.delenv(key, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    assert bench_record.environ() == {
+        "OPENBLAS_NUM_THREADS": "1",
+        "OPENBLAS_THREAD_TIMEOUT": None,
+        "OMP_NUM_THREADS": None,
+        "PYTHONDONTWRITEBYTECODE": "",
+    }

@@ -189,6 +189,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             load_config(base_config(**{key: value}))
 
+    @pytest.mark.parametrize("sub", [(), ("sub",)])
+    def test_output_at_or_under_a_file_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys, sub):
+        calls = []
+        monkeypatch.setattr(GaussianOracle, "predict", lambda *args: calls.append(args))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out = blocker.joinpath(*sub)
+        with pytest.raises(ConfigInvalid, match="not a directory"):
+            load_config(base_config(), out_override=str(out))
+        assert main(["run", "--config", str(write_config(tmp_path, base_config())), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "cfg.json"]
+        assert blocker.read_text() == "not a directory\n"
+
     def test_integral_float_accepted_for_integer_fields(self):
         cfg = base_config(n_trajectories=20.0, seed=3.0)
         cfg["grid"]["n_steps"] = 8.0

@@ -1,4 +1,4 @@
-"""What importing bridgekit loads, and the path-loaded LAPACK ``dposv``.
+"""What importing bridgekit loads and leaves behind, and the path-loaded LAPACK ``dposv``.
 
 Each check runs in a fresh interpreter, since the test process has loaded
 scipy.linalg by the time it gets here.
@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 import bridgekit
 
@@ -141,3 +143,39 @@ def test_unloadable_extension_falls_back_to_scipy_lapack(tmp_path):
                           sys.modules["scipy.linalg._flapack"] is scipy.linalg.lapack._flapack]))
     """, str(tmp_path))
     assert out == [True, True]
+
+
+@pytest.mark.parametrize("timeout", [None, "20"])
+def test_import_leaves_environ_unchanged(monkeypatch, timeout):
+    if timeout is None:
+        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", timeout)
+    before, after = run_fresh("""
+        import json, os
+        before = dict(os.environ)
+        import bridgekit.cli
+        print(json.dumps([before, dict(os.environ)]))
+    """)
+    assert after == before
+    assert after.get("OPENBLAS_THREAD_TIMEOUT") == timeout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_blas_worker_threads_do_not_spin(monkeypatch):
+    # OpenBLAS starts its worker threads when it loads; with the default
+    # timeout each busy-waits about 0.1 s of CPU before it sleeps
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    cpu_s = run_fresh("""
+        import json, os, time
+        import bridgekit.cli
+        time.sleep(0.3)
+        ticks = 0
+        for tid in os.listdir("/proc/self/task"):
+            if int(tid) != os.getpid():
+                with open(f"/proc/self/task/{tid}/stat") as f:
+                    fields = f.read().rpartition(")")[2].split()
+                ticks += int(fields[11]) + int(fields[12])  # utime, stime
+        print(json.dumps(ticks / os.sysconf("SC_CLK_TCK")))
+    """)
+    assert cpu_s <= 0.020

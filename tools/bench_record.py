@@ -16,8 +16,10 @@ the host does not favour either side.
 Both trees must be git checkouts without uncommitted changes to tracked
 files, so that the commit each side records is the code it measured.
 
-The record holds the ``env`` line of the last invocation, the commit of
-each side, every invocation's metric values, sample count and fail counts,
+The record holds the ``env`` line of the last invocation, the measuring
+shell's ``environ`` settings that change what ``setup_s`` measures (BLAS
+threading; with ``PYTHONDONTWRITEBYTECODE`` set, every child compiles
+bridgekit from source), the commit of each side, every invocation's metric values, sample count and fail counts,
 per workload and side each metric's median, interquartile range (IQR) and
 number of invocations, and per metric the number of pairs the change won,
 ties counting for neither side.  A ``history`` list already present in the
@@ -28,10 +30,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+# settings of the measuring shell that the children inherit and that change
+# set-up time; null in the record when unset
+ENVIRON_KEYS = ("OPENBLAS_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT", "OMP_NUM_THREADS", "PYTHONDONTWRITEBYTECODE")
+
+
+def environ() -> dict:
+    """The value of each of ``ENVIRON_KEYS`` in this process's environment, or None."""
+    return {key: os.environ.get(key) for key in ENVIRON_KEYS}
 
 
 def invoke(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -121,6 +133,7 @@ def main(argv=None) -> int:
     record = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "env": env,
+        "environ": environ(),
         "commits": commits,
         "workloads": workloads,
         "history": previous.get("history", []),
