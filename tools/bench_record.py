@@ -19,11 +19,12 @@ files, so that the commit each side records is the code it measured.
 The record holds the ``env`` line of the last invocation, the measuring
 shell's ``environ`` settings that change what ``setup_s`` measures (BLAS
 threading; with ``PYTHONDONTWRITEBYTECODE`` set, every child compiles
-bridgekit from source), the commit of each side, every invocation's metric values, sample count and fail counts,
-per workload and side each metric's median, interquartile range (IQR) and
-number of invocations, and per metric the number of pairs the change won,
-ties counting for neither side.  A ``history`` list already present in the
-output file is kept, so earlier measurements can be carried alongside.
+bridgekit from source), the commit of each side, every invocation's
+metric values, sample count and fail counts, per workload and side each
+metric's median, interquartile range (IQR) and number of invocations, and
+per metric the number of pairs the change won, ties counting for neither
+side.  A ``history`` list already present in the output file is kept, so
+earlier measurements can be carried alongside.
 """
 
 from __future__ import annotations
