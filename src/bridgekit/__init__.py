@@ -45,7 +45,6 @@ try:
         inference_kernel_mean_var,
         make_rhos,
         markov_x0_coefficient,
-        simulate_inference_chain,
         vi_weight,
     )
     from .oracle import (
@@ -65,11 +64,9 @@ try:
         drift_dbim,
         drift_pfode,
         encode,
-        run_baseline,
-        run_dbim1,
-        run_dbim_high,
         run_sampler,
         sample_batch,
+        simulate_inference_chain,
         slerp_interpolate,
         taylor_integral,
     )
@@ -123,9 +120,6 @@ __all__ = [
     "marginal_at",
     "markov_x0_coefficient",
     "moment_check",
-    "run_baseline",
-    "run_dbim1",
-    "run_dbim_high",
     "run_sampler",
     "sample_batch",
     "score_from_predictor",

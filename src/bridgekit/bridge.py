@@ -15,6 +15,9 @@ interpolates the family between its deterministic (η = 0) and Markovian
 (η = 1) extremes via
 
     ρ_n = η σ_{t_n} √(1 − SNR_{t_{n+1}} / SNR_{t_n}).
+
+This module holds the kernel formulas; the chain itself runs on the
+samplers' engine (:func:`bridgekit.samplers.simulate_inference_chain`).
 """
 
 from __future__ import annotations
@@ -183,37 +186,3 @@ def vi_weight(schedule: NoiseSchedule, grid: TimeGrid, rhos: VarianceParam, n: i
     c2_over_b = schedule.sigma2(t_n) / schedule.alpha(t_n)
     return d * d * c2_over_b * c2_over_b / (2.0 * rho * rho)
 
-
-def simulate_inference_chain(
-    schedule: NoiseSchedule,
-    grid: TimeGrid,
-    rhos: VarianceParam,
-    x0: np.ndarray,
-    xT: np.ndarray,
-    n_traj: int,
-    rng: np.random.Generator,
-) -> dict[float, np.ndarray]:
-    """Simulate the inference chain with the true x₀ down the grid.
-
-    Draws x_{t_{N−1}} from the bridge kernel and then applies the inference
-    kernel step by step; returns {t_n: (n_traj, d) states} for every grid
-    time below T.  Used to check that every member of the ρ-family keeps
-    the bridge marginals.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    xT = np.asarray(xT, dtype=float)
-    d = x0.shape[0]
-    ts = grid.times
-    N = grid.n_steps
-
-    k_start = coeffs(schedule, ts[N - 1])
-    x = k_start.a * xT + k_start.b * x0 + k_start.c * rng.standard_normal((n_traj, d))
-    out = {ts[N - 1]: x.copy()}
-    for n in range(N - 2, -1, -1):
-        rho = rhos.rhos[n]
-        kn = coeffs(schedule, ts[n])
-        km = coeffs(schedule, ts[n + 1])
-        mean = _kernel_mean(kn.a, kn.b, kn.c, km.a, km.b, km.c, rho, x, xT, x0)
-        x = mean if rho == 0.0 else mean + rho * rng.standard_normal((n_traj, d))
-        out[ts[n]] = x.copy()
-    return out

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from . import schedule as schedule_mod
 from .errors import BridgekitError, ConfigInvalid, NumericalFailure
-from .bridge import eta_rho, make_rhos, markov_x0_coefficient, simulate_inference_chain
+from .bridge import eta_rho, make_rhos, markov_x0_coefficient
 from .metrics import RunReport, diversity_score, fit_order, moment_check
 from .oracle import GaussianBridgeProblem, GaussianOracle, PerturbedOracle
 from .samplers import (
@@ -36,6 +36,7 @@ from .samplers import (
     encode,
     run_sampler,
     sample_batch,
+    simulate_inference_chain,
     slerp_interpolate,
 )
 from .schedule import GridKind, NoiseSchedule, TimeGrid, coeffs, make_grid
@@ -250,7 +251,11 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
             raise ConfigInvalid(f"experiment '{experiment}' requires sampler.n_steps_sweep")
         for n in sweep:
             try:
-                _GridCoeffs.build(sched, _grid_with_steps(grid, n))
+                sweep_grid = _grid_with_steps(grid, n)
+                _GridCoeffs.build(sched, sweep_grid)
+                # the grid's step count against the method's order; eta is
+                # checked with the run's own grid below
+                SamplerConfig(method=method, grid=sweep_grid, seed=0)
             except BridgekitError as exc:
                 raise ConfigInvalid(f"n_steps_sweep entry {n}: {exc}") from exc
 
@@ -374,28 +379,37 @@ def _exp_marginals(cfg: RunConfig, predictor):
     return "marginals.csv", header, rows, {"max_abs_z": max_z, "max_var_rel_dev": max_var_dev}
 
 
+def _drift_gaps(schedule: NoiseSchedule, predictor, rng, n_points: int, dim: int, lo: float, hi: float):
+    """(t, gap) between ``drift_dbim`` and ``drift_pfode`` at ``n_points`` random points.
+
+    Each point draws t uniform on [lo, hi] × horizon, then x and x_T from
+    N(0, 4 I).  The gap is the max-norm of the difference over the larger
+    max-norm of the two drifts, floored at 1e-4 of the largest drift seen.
+    """
+    samples = []
+    for _ in range(n_points):
+        t = float(rng.uniform(lo * schedule.horizon, hi * schedule.horizon))
+        x = rng.standard_normal(dim) * 2.0
+        xT = rng.standard_normal(dim) * 2.0
+        d1 = drift_dbim(schedule, predictor, x, t, xT)
+        d2 = drift_pfode(schedule, predictor, x, t, xT)
+        samples.append((t, d1, d2))
+    scale = max(max(np.max(np.abs(d1)), np.max(np.abs(d2))) for _, d1, d2 in samples)
+    gaps = []
+    for t, d1, d2 in samples:
+        denom = max(float(np.max(np.abs(d1))), float(np.max(np.abs(d2))), 1e-4 * scale)
+        gaps.append((t, float(np.max(np.abs(d1 - d2)) / denom)))
+    return gaps
+
+
 def _exp_drift_check(cfg: RunConfig, predictor):
     n_points = cfg.options.get("n_points", 1000)
     lo, hi = cfg.options.get("t_range", (0.01, 0.99))
     rng = np.random.default_rng(cfg.seed)
-    rows = []
-    devs = []
-    samples = []
-    for i in range(n_points):
-        t = float(rng.uniform(lo * cfg.schedule.horizon, hi * cfg.schedule.horizon))
-        x = rng.standard_normal(cfg.problem.dim) * 2.0
-        xT = rng.standard_normal(cfg.problem.dim) * 2.0
-        d1 = drift_dbim(cfg.schedule, predictor, x, t, xT)
-        d2 = drift_pfode(cfg.schedule, predictor, x, t, xT)
-        samples.append((i, t, d1, d2))
-    scale = max(max(np.max(np.abs(d1)), np.max(np.abs(d2))) for _, _, d1, d2 in samples)
-    for i, t, d1, d2 in samples:
-        denom = max(float(np.max(np.abs(d1))), float(np.max(np.abs(d2))), 1e-4 * scale)
-        rel = float(np.max(np.abs(d1 - d2)) / denom)
-        devs.append(rel)
-        rows.append([i, t, rel])
+    gaps = _drift_gaps(cfg.schedule, predictor, rng, n_points, cfg.problem.dim, lo, hi)
+    rows = [[i, t, rel] for i, (t, rel) in enumerate(gaps)]
     header = ["idx", "t", "rel_dev"]
-    return "drift_check.csv", header, rows, {"max_rel_dev": max(devs)}
+    return "drift_check.csv", header, rows, {"max_rel_dev": max(rel for _, rel in gaps)}
 
 
 def _exp_convergence(cfg: RunConfig, predictor):
@@ -564,18 +578,7 @@ def selftest() -> int:
 
     # drift equivalence on 200 random points
     oracle = GaussianOracle(problem, sched_vp)
-    devs = []
-    pts = []
-    for _ in range(200):
-        t = float(rng.uniform(0.01, 0.99))
-        x = rng.standard_normal(1) * 2
-        xT = rng.standard_normal(1) * 2
-        d1 = drift_dbim(sched_vp, oracle, x, t, xT)
-        d2 = drift_pfode(sched_vp, oracle, x, t, xT)
-        pts.append((d1, d2))
-    scale = max(max(abs(float(d1[0])), abs(float(d2[0]))) for d1, d2 in pts)
-    for d1, d2 in pts:
-        devs.append(abs(float(d1[0] - d2[0])) / max(abs(float(d1[0])), abs(float(d2[0])), 1e-4 * scale))
+    devs = [rel for _, rel in _drift_gaps(sched_vp, oracle, rng, 200, 1, 0.01, 0.99)]
     checks.append(("drift-equivalence", max(devs) <= 1e-9, f"max rel dev {max(devs):.2e}"))
 
     # Markov boundary: coefficient vanishes exactly at the eta=1 variance
@@ -645,10 +648,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         threads = _resolve_threads(args.threads)
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         cfg = load_config(raw, out_override=args.out, seed_override=args.seed)
-    except (OSError, json.JSONDecodeError, ConfigInvalid) as exc:
+    # RecursionError: JSON nested deeper than the interpreter's recursion limit
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError, ConfigInvalid) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -13,15 +13,20 @@ and then walk the remaining grid down to t_0:
   λ_t = log(b_t/c_t), with derivatives estimated by finite differences of
   stored predictor outputs (``DBIM2``/``DBIM3``);
 * explicit Euler/Heun on the probability-flow ODE and Euler–Maruyama on the
-  reverse SDE as baselines.
+  reverse SDE as baselines; the two drifts share one body and differ only
+  in the weight on the score (½ for the ODE, 1 for the SDE).
 
-One engine runs every method: it advances the whole (n_traj, d) batch one
-grid step at a time on the calling thread, with one predictor call per step
-(two for Heun).  The updates take x_T tiled to the (n_traj, d) batch: the
-same bits as broadcasting the (d,) vector, without numpy running one inner
-loop of length d per row.  Randomness is counter-based: every (seed, step,
-trajectory-chunk) triple maps to its own Philox counter block, so a row's
-noise does not depend on the batch size.
+One engine runs every forward chain: it advances the whole (n_traj, d)
+batch one grid step at a time on the calling thread, with one predictor
+call per step (two for Heun).  The updates take x_T tiled to the
+(n_traj, d) batch: the same bits as broadcasting the (d,) vector, without
+numpy running one inner loop of length d per row.  The engine takes its
+per-step noise as a callable ``normals(tag, step, shape)``, or None when a
+run draws none.  ``sample_batch`` passes counter-based Philox noise: every
+(seed, step, trajectory-chunk) triple maps to its own counter block, so a
+row's noise does not depend on the batch size.  ``decode`` passes None,
+and ``simulate_inference_chain`` (dbim1 with the true x₀ as its
+prediction) passes draws from a numpy generator.
 
 Work that depends only on the grid is done once per run.  Before the step
 loop the engine (and ``encode``) calls the predictor's optional
@@ -39,6 +44,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 # numpy loads numpy.random lazily; importing it here keeps its ~50 ms out of
@@ -56,7 +62,7 @@ from .errors import (
     SingularSystem,
     ZeroVector,
 )
-from .bridge import _kernel_mean, make_rhos
+from .bridge import VarianceParam, _kernel_mean, make_rhos
 from .oracle import score_from_predictor
 from .schedule import NoiseSchedule, TimeGrid, coeffs
 
@@ -372,12 +378,11 @@ def _h_transform_grad(schedule: NoiseSchedule, k, x: np.ndarray, t: float, xT: n
     return -k.a * (alpha_ratio * x - xT) / (k.c * k.c)
 
 
-def drift_pfode(schedule: NoiseSchedule, predictor, x: np.ndarray, t: float, xT: np.ndarray) -> np.ndarray:
-    """Probability-flow ODE drift assembled from its score and pinning pieces.
+def _reverse_drift(schedule: NoiseSchedule, predictor, x, t: float, xT, score_weight: float) -> np.ndarray:
+    """f x − g² (w s(x) − ∇ log q_{T|t}), with the score s obtained from the data predictor.
 
-    Independently coded from :func:`drift_dbim`:
-    f x − g² (½ s(x) − ∇ log q_{T|t}) with the score obtained from the data
-    predictor.
+    The weight w on the score is ½ for the probability-flow ODE and 1 for
+    the reverse SDE; the two drifts differ in nothing else.
     """
     k = coeffs(schedule, t)
     if k.c == 0.0:
@@ -387,16 +392,17 @@ def drift_pfode(schedule: NoiseSchedule, predictor, x: np.ndarray, t: float, xT:
     x_hat = predictor.predict(x, t, xT)
     score = score_from_predictor(schedule, x, t, xT, x_hat)
     h_grad = _h_transform_grad(schedule, k, x, t, xT)
-    return schedule.f(t) * x - schedule.g2(t) * (0.5 * score - h_grad)
+    return schedule.f(t) * x - schedule.g2(t) * (score_weight * score - h_grad)
 
 
-def _drift_sde(schedule: NoiseSchedule, predictor, x: np.ndarray, t: float, xT: np.ndarray) -> np.ndarray:
-    """Reverse-SDE drift: f x − g² (s(x) − ∇ log q_{T|t})."""
-    k = coeffs(schedule, t)
-    x_hat = predictor.predict(x, t, xT)
-    score = score_from_predictor(schedule, x, t, xT, x_hat)
-    h_grad = _h_transform_grad(schedule, k, x, t, xT)
-    return schedule.f(t) * x - schedule.g2(t) * (score - h_grad)
+def drift_pfode(schedule: NoiseSchedule, predictor, x: np.ndarray, t: float, xT: np.ndarray) -> np.ndarray:
+    """Probability-flow ODE drift assembled from its score and pinning pieces.
+
+    Independently coded from :func:`drift_dbim`:
+    f x − g² (½ s(x) − ∇ log q_{T|t}) with the score obtained from the data
+    predictor.
+    """
+    return _reverse_drift(schedule, predictor, x, t, xT, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +437,15 @@ class _CountingPredictor:
         return getattr(self.predictor, name)
 
 
-def _run_chunk(method, gc, rhos, schedule, predictor, xT, eps_boot, philox, record):
+def _run_chunk(method, gc, rhos, schedule, predictor, xT, eps_boot, normals, record):
     """Carry boot noises ``eps_boot`` (shape (n, d), or (d,) for one state) from T to t_0.
 
     The whole batch advances one grid step at a time, with one predictor
     call per step (two for Heun).  ``rhos`` are the dbim1 per-step standard
-    deviations; dbim1 and Euler–Maruyama draw per-step noise from ``philox``.
+    deviations.  Per-step noise comes from ``normals(tag, step, shape)``, or
+    ``normals`` is None for a run that draws none: dbim1 asks for
+    ``(_STEP_TAG, i − 1)`` on each step leaving t_i whose ρ_{i−1} is
+    positive, and Euler–Maruyama for ``(_STEP_TAG, i)`` on every step.
     Returns ``(terminal, predictor calls per trajectory, states)``, where
     ``states`` lists the state at every grid time below T when ``record`` is
     set and is None otherwise.
@@ -468,7 +477,7 @@ def _run_chunk(method, gc, rhos, schedule, predictor, xT, eps_boot, philox, reco
                 a[i - 1], b[i - 1], c[i - 1], a[i], b[i], c[i], rhos[i - 1], x, xT_tile, x_hat,
             )
             if rhos[i - 1] > 0.0:
-                x = x + rhos[i - 1] * philox.normals(_STEP_TAG, i - 1, x.shape)
+                x = x + rhos[i - 1] * normals(_STEP_TAG, i - 1, x.shape)
         elif order is not None:
             x_hat = pred.predict(x, t_hi, xT)
             if order == 2 or i == N - 1:
@@ -481,9 +490,9 @@ def _run_chunk(method, gc, rhos, schedule, predictor, xT, eps_boot, philox, reco
             x = c_ratio * x + (a[i - 1] - c_ratio * a[i]) * xT_tile + c[i - 1] * integral
         elif method is Method.SDE_EULER_MARUYAMA:
             dt = t_lo - t_hi
-            v = _drift_sde(schedule, pred, x, t_hi, xT)
+            v = _reverse_drift(schedule, pred, x, t_hi, xT, 1.0)
             g = math.sqrt(schedule.g2(t_hi))
-            x = x + dt * v + g * math.sqrt(-dt) * philox.normals(_STEP_TAG, i, x.shape)
+            x = x + dt * v + g * math.sqrt(-dt) * normals(_STEP_TAG, i, x.shape)
         else:
             dt = t_lo - t_hi
             v1 = drift_pfode(schedule, pred, x, t_hi, xT)
@@ -503,7 +512,6 @@ def sample_batch(
     predictor,
     xT: np.ndarray,
     n_traj: int,
-    n_threads: int = 1,
     record: bool = False,
 ):
     """Run ``n_traj`` trajectories of the configured sampler.
@@ -513,8 +521,7 @@ def sample_batch(
     stack of shape (N, n_traj, d) over grid times below T.  Noise for rows
     in fixed-size chunks is keyed by (seed, step, chunk), so each row's
     noise does not depend on how many rows are run.  The engine runs on
-    the calling thread; ``n_threads`` is accepted for compatibility and
-    changes neither results nor speed.
+    the calling thread.
     """
     xT = np.asarray(xT, dtype=float)
     gc = _GridCoeffs.build(schedule, config.grid)
@@ -522,7 +529,7 @@ def sample_batch(
     philox = _Philox(config.seed)
     boot = philox.normals(_BOOT_TAG, 0, (n_traj, xT.shape[0]))
     terminal, calls, states = _run_chunk(
-        config.method, gc, rhos, schedule, predictor, xT, boot, philox, record
+        config.method, gc, rhos, schedule, predictor, xT, boot, philox.normals, record
     )
     if record:
         return terminal, boot, calls, np.stack(states, axis=0)
@@ -530,7 +537,15 @@ def sample_batch(
 
 
 def run_sampler(config: SamplerConfig, schedule: NoiseSchedule, predictor, xT) -> Trajectory:
-    """Run one trajectory of the configured method, recording every state."""
+    """Run one trajectory of the configured method, recording every state.
+
+    Every method, the ODE/SDE baselines included, leaves t = T through the
+    boot step, since the raw drifts are singular at the pinned endpoint; the
+    boot prediction counts toward ``predictor_calls``.  The dbim2/dbim3
+    derivative histories start at the boot prediction (taken at t = T,
+    λ = −inf) and never cross the boot step; dbim3 falls back to the
+    two-point estimate on the first step after the boot.
+    """
     xT = np.asarray(xT, dtype=float)
     _, boot, calls, states = sample_batch(config, schedule, predictor, xT, 1, record=True)
     times = config.grid.times
@@ -538,35 +553,33 @@ def run_sampler(config: SamplerConfig, schedule: NoiseSchedule, predictor, xT) -
     return Trajectory(states=path, boot_noise=boot[0], predictor_calls=calls)
 
 
-def run_dbim1(config: SamplerConfig, schedule: NoiseSchedule, predictor, xT) -> Trajectory:
-    """Boot step followed by N−1 first-order implicit updates down to t_0."""
-    if config.method is not Method.DBIM1:
-        raise InvalidGridParams(f"run_dbim1 requires method dbim1, got {config.method.value}")
-    return run_sampler(config, schedule, predictor, xT)
+def simulate_inference_chain(
+    schedule: NoiseSchedule,
+    grid: TimeGrid,
+    rhos: VarianceParam,
+    x0: np.ndarray,
+    xT: np.ndarray,
+    n_traj: int,
+    rng: np.random.Generator,
+) -> dict[float, np.ndarray]:
+    """Simulate the inference chain with the true x₀ down the grid.
 
-
-def run_dbim_high(config: SamplerConfig, schedule: NoiseSchedule, predictor, xT) -> Trajectory:
-    """Boot step followed by order-2/3 exponential-integrator updates.
-
-    Derivative histories start at the boot prediction (taken at t = T,
-    λ = −inf) and never cross the boot step; the third-order branch falls
-    back to the two-point estimate on the first post-boot step.
+    This is the dbim1 engine with a predictor that returns ``x0`` and noise
+    drawn from ``rng``: the boot step draws x_{t_{N−1}} from the bridge
+    kernel, and each later step applies the inference kernel with ρ_n.
+    Returns {t_n: (n_traj, d) states} for every grid time below T.  Used to
+    check that every member of the ρ-family keeps the bridge marginals.
     """
-    if config.method not in _ORDER:
-        raise InvalidGridParams(f"run_dbim_high requires dbim2 or dbim3, got {config.method.value}")
-    return run_sampler(config, schedule, predictor, xT)
-
-
-def run_baseline(config: SamplerConfig, schedule: NoiseSchedule, predictor, xT) -> Trajectory:
-    """Euler/Heun on the flow ODE or Euler–Maruyama on the reverse SDE.
-
-    Baselines leave t = T through the boot step as well: the raw drifts are
-    singular at the pinned endpoint.  The boot counts toward the evaluation
-    budget.
-    """
-    if config.method is Method.DBIM1 or config.method in _ORDER:
-        raise InvalidGridParams(f"run_baseline got non-baseline method {config.method.value}")
-    return run_sampler(config, schedule, predictor, xT)
+    x0 = np.asarray(x0, dtype=float)
+    xT = np.asarray(xT, dtype=float)
+    gc = _GridCoeffs.build(schedule, grid)
+    true_x0 = SimpleNamespace(predict=lambda x, t, x_T: x0)
+    boot = rng.standard_normal((n_traj, x0.shape[0]))
+    _, _, states = _run_chunk(
+        Method.DBIM1, gc, rhos.rhos, schedule, true_x0, xT, boot,
+        lambda tag, step, shape: rng.standard_normal(shape), True,
+    )
+    return dict(zip(reversed(grid.times[:-1]), states))
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,13 @@ class TestConfigValidation:
         (("experiment", "sampler.n_steps_sweep", "options.n_conditions"), ("diversity", [4], 2 ** 62), None),
         (("experiment", "sampler.n_steps_sweep", "options.samples_per_condition"), ("diversity", [4], 1), None),
         (("experiment", "options.n_points"), ("drift-check", 2 ** 62), None),
+        # sweep entries below the method's order
+        (("experiment", "sampler.method", "sampler.eta", "sampler.n_steps_sweep"),
+         ("convergence", "dbim3", 0.0, [8, 2]), None),
+        (("experiment", "sampler.method", "sampler.eta", "sampler.n_steps_sweep"),
+         ("diversity", "dbim3", 0.0, [8, 2]), None),
+        (("experiment", "sampler.method", "sampler.eta", "grid.kind", "sampler.n_steps_sweep"),
+         ("convergence", "dbim2", 0.0, "edm_power", [1]), None),
     ])
     def test_non_finite_input_or_bad_env_exits_2_without_output(self, tmp_path, monkeypatch, key, value, env):
         cfg = base_config()
@@ -204,6 +211,18 @@ class TestConfigValidation:
         assert calls == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "cfg.json"]
         assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize(
+        "content", [bytes.fromhex("fffe7b7d"), b"[" * 100_000], ids=["not_utf8", "nested_100000"]
+    )
+    def test_undecodable_or_too_deeply_nested_file_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_integral_float_accepted_for_integer_fields(self):
         cfg = base_config(n_trajectories=20.0, seed=3.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bridgekit import samplers
 from bridgekit import (
     GaussianBridgeProblem,
     GaussianOracle,
@@ -22,10 +23,8 @@ from bridgekit import (
     encode,
     fit_order,
     make_grid,
+    make_rhos,
     marginal_at,
-    run_baseline,
-    run_dbim1,
-    run_dbim_high,
     run_sampler,
     sample_batch,
     slerp_interpolate,
@@ -140,7 +139,7 @@ class TestRunDbim1:
     def test_single_step_run_is_boot_only(self):
         grid = make_grid(GridKind.UNIFORM_WITH_BOOT_STEP, 1, t_min=0.9, t_max=1.0, boot_gap=0.1)
         cfg = SamplerConfig(Method.DBIM1, grid, seed=5)
-        traj = run_dbim1(cfg, BB, ORACLE1, np.array([1.0]))
+        traj = run_sampler(cfg, BB, ORACLE1, np.array([1.0]))
         assert len(traj.states) == 2
         expected = boot_step(BB, ORACLE1, np.array([1.0]), 0.9, traj.boot_noise)
         np.testing.assert_allclose(traj.terminal, expected, rtol=1e-14)
@@ -149,13 +148,13 @@ class TestRunDbim1:
         counting = CountingOracle(ORACLE1)
         grid = grid_of(9)
         cfg = SamplerConfig(Method.DBIM1, grid, seed=5, eta=0.5)
-        traj = run_dbim1(cfg, BB, counting, np.array([1.0]))
+        traj = run_sampler(cfg, BB, counting, np.array([1.0]))
         assert counting.calls == 9
         assert traj.predictor_calls == 9
 
     def test_times_match_grid(self):
         grid = grid_of(6)
-        traj = run_dbim1(SamplerConfig(Method.DBIM1, grid, seed=1), BB, ORACLE1, np.array([1.0]))
+        traj = run_sampler(SamplerConfig(Method.DBIM1, grid, seed=1), BB, ORACLE1, np.array([1.0]))
         assert [t for t, _ in traj.states] == list(reversed(grid.times))
 
     def test_deterministic_map_is_affine_in_boot_noise(self):
@@ -188,8 +187,8 @@ class TestRunDbim1:
     def test_bitwise_determinism(self):
         grid = grid_of(12)
         cfg = SamplerConfig(Method.DBIM1, grid, seed=999, eta=0.7)
-        a = run_dbim1(cfg, BB, ORACLE1, np.array([1.0]))
-        b = run_dbim1(cfg, BB, ORACLE1, np.array([1.0]))
+        a = run_sampler(cfg, BB, ORACLE1, np.array([1.0]))
+        b = run_sampler(cfg, BB, ORACLE1, np.array([1.0]))
         assert np.array_equal(a.boot_noise, b.boot_noise)
         for (ta, xa), (tb, xb) in zip(a.states, b.states):
             assert ta == tb and np.array_equal(xa, xb)
@@ -265,7 +264,7 @@ class TestRunDbimHigh:
         for method, n in ((Method.DBIM2, 7), (Method.DBIM3, 7)):
             counting = CountingOracle(ORACLE1)
             cfg = SamplerConfig(method, grid_of(n), seed=3)
-            traj = run_dbim_high(cfg, BB, counting, np.array([1.0]))
+            traj = run_sampler(cfg, BB, counting, np.array([1.0]))
             assert counting.calls == n
             assert traj.predictor_calls == n
 
@@ -353,7 +352,7 @@ class TestBaselines:
         grid = make_grid(GridKind.UNIFORM_WITH_BOOT_STEP, 2, t_min=0.4, t_max=1.0, boot_gap=0.1)
         xT = np.array([1.0])
         cfg = SamplerConfig(Method.PF_ODE_HEUN, grid, seed=8)
-        traj = run_baseline(cfg, BB, ORACLE1, xT)
+        traj = run_sampler(cfg, BB, ORACLE1, xT)
         x1 = traj.states[1][1]
         t_hi, t_lo = grid.times[1], grid.times[0]
         dt = t_lo - t_hi
@@ -365,7 +364,7 @@ class TestBaselines:
     def test_heun_costs_two_calls_per_step(self):
         counting = CountingOracle(ORACLE1)
         cfg = SamplerConfig(Method.PF_ODE_HEUN, grid_of(6), seed=8)
-        traj = run_baseline(cfg, BB, counting, np.array([1.0]))
+        traj = run_sampler(cfg, BB, counting, np.array([1.0]))
         assert counting.calls == 1 + 2 * 5
         assert traj.predictor_calls == 11
 
@@ -478,8 +477,8 @@ class TestEncodeDecode:
         )
         oracle = GaussianOracle(prob, BB)
         cfg = SamplerConfig(Method.DBIM1, grid, seed=77, eta=0.6)
-        t1 = sample_batch(cfg, BB, oracle, xT, 700, n_threads=1)
-        t4 = sample_batch(cfg, BB, oracle, xT, 700, n_threads=4)
+        t1 = sample_batch(cfg, BB, oracle, xT, 700)
+        t4 = sample_batch(cfg, BB, oracle, xT, 700)
         assert np.array_equal(t1[0], t4[0])
         assert np.array_equal(t1[1], t4[1])
 
@@ -509,7 +508,52 @@ class TestPowerGridSampling:
         grid = make_grid(GridKind.UNIFORM_WITH_BOOT_STEP, 5, t_min=0.05, t_max=0.9, boot_gap=0.05)
         cfg = SamplerConfig(Method.DBIM1, grid, seed=0)
         with pytest.raises(InvalidGridParams):
-            run_dbim1(cfg, BB, ORACLE1, np.array([1.0]))
+            run_sampler(cfg, BB, ORACLE1, np.array([1.0]))
+
+
+class TestNoiseProtocol:
+    """The engine asks ``normals(tag, step, shape)`` for per-step noise, or gets None."""
+
+    N = 8
+
+    def run_recording(self, method, eta=0.0):
+        calls = []
+
+        def normals(tag, step, shape):
+            calls.append((tag, step, shape))
+            return np.ones(shape)
+
+        grid = grid_of(self.N)
+        gc = samplers._GridCoeffs.build(BB, grid)
+        rhos = make_rhos(BB, grid, eta).rhos
+        samplers._run_chunk(method, gc, rhos, BB, ORACLE1, np.array([1.0]), np.zeros((3, 1)), normals, False)
+        return calls, rhos
+
+    @pytest.mark.parametrize("eta", [0.3, 1.0])
+    def test_dbim1_draws_each_step_from_the_top_down(self, eta):
+        calls, rhos = self.run_recording(Method.DBIM1, eta)
+        assert all(r > 0.0 for r in rhos)
+        assert calls == [(samplers._STEP_TAG, i - 1, (3, 1)) for i in range(self.N - 1, 0, -1)]
+
+    def test_deterministic_dbim1_never_draws(self):
+        calls, _ = self.run_recording(Method.DBIM1, 0.0)
+        assert calls == []
+
+    def test_euler_maruyama_draws_at_the_upper_index(self):
+        calls, _ = self.run_recording(Method.SDE_EULER_MARUYAMA)
+        assert calls == [(samplers._STEP_TAG, i, (3, 1)) for i in range(self.N - 1, 0, -1)]
+
+    def test_decode_runs_without_a_noise_source(self, monkeypatch):
+        seen = []
+        run_chunk = samplers._run_chunk
+
+        def spy(*args):
+            seen.append(args[7])
+            return run_chunk(*args)
+
+        monkeypatch.setattr(samplers, "_run_chunk", spy)
+        decode(BB, ORACLE1, np.array([0.3]), np.array([1.0]), grid_of(self.N))
+        assert seen == [None]
 
 
 class TestSlerp:
