@@ -72,7 +72,6 @@ try:
     )
     from .metrics import (
         MomentReport,
-        RunReport,
         diversity_score,
         fit_order,
         gaussian_kl,
@@ -94,7 +93,6 @@ __all__ = [
     "MomentReport",
     "NoiseSchedule",
     "PerturbedOracle",
-    "RunReport",
     "SamplerConfig",
     "ScheduleKind",
     "TimeGrid",

@@ -16,8 +16,12 @@ interpolates the family between its deterministic (η = 0) and Markovian
 
     ρ_n = η σ_{t_n} √(1 − SNR_{t_{n+1}} / SNR_{t_n}).
 
-This module holds the kernel formulas; the chain itself runs on the
-samplers' engine (:func:`bridgekit.samplers.simulate_inference_chain`).
+This module holds each kernel formula once: :func:`forward_sample` is the
+bridge kernel, which the samplers' boot step also draws from with the
+prediction in place of x₀, and ``_kernel_mean`` is the inference-kernel
+mean, which :func:`inference_kernel_mean_var` guards for outside callers
+and the samplers' engine calls directly.  The chain itself runs on that
+engine (:func:`bridgekit.samplers.simulate_inference_chain`).
 """
 
 from __future__ import annotations
@@ -84,14 +88,20 @@ def forward_sample(
     t: float,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """Draw from the bridge kernel: a_t x_T + b_t x₀ + c_t · noise."""
+    """Draw from the bridge kernel: a_t x_T + b_t x₀ + c_t · noise.
+
+    The inputs broadcast against each other, so a (d,) x₀ or x_T serves a
+    whole (n, d) batch of noises.
+    """
     x0 = np.asarray(x0, dtype=float)
     xT = np.asarray(xT, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    if x0.shape != xT.shape or x0.shape != noise.shape:
+    try:
+        np.broadcast_shapes(x0.shape, xT.shape, noise.shape)
+    except ValueError as exc:
         raise DimensionMismatch(
-            f"shapes disagree: x0 {x0.shape}, xT {xT.shape}, noise {noise.shape}"
-        )
+            f"shapes do not broadcast: x0 {x0.shape}, xT {xT.shape}, noise {noise.shape}"
+        ) from exc
     k = coeffs(schedule, t)
     return k.a * xT + k.b * x0 + k.c * noise
 
@@ -118,17 +128,20 @@ def inference_kernel_mean_var(
 ) -> tuple[np.ndarray, float]:
     """Mean and variance of the inference kernel from t_{n+1} down to t_n.
 
-    Requires c_{t_{n+1}} > 0; the initial step out of t = T must instead go
-    through the boot step, since the residual is undefined there.
+    Requires t_{n+1} < T, where c_{t_{n+1}} > 0; the initial step out of
+    t = T must instead go through the boot step, since the residual is
+    undefined there.  ρ_n may not exceed c_{t_n}.
     """
     if not t_next > t_n:
         raise InvalidGridParams(f"need t_next > t_n, got {t_next} <= {t_n}")
+    if t_next >= schedule.horizon:
+        raise InitialStepSingularity(
+            f"step from t={t_next} >= T is singular; route it through the boot step"
+        )
     kn = coeffs(schedule, t_n)
     km = coeffs(schedule, t_next)
-    if km.c == 0.0:
-        raise InitialStepSingularity(
-            f"c=0 at t={t_next}; route the step leaving t=T through the boot step"
-        )
+    if rho_n > kn.c * (1.0 + 1e-12):
+        raise InvalidGridParams(f"rho_n={rho_n} exceeds c_t={kn.c}")
     x0 = np.asarray(x0, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
     xT = np.asarray(xT, dtype=float)

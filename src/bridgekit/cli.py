@@ -23,7 +23,7 @@ from . import __version__
 from . import schedule as schedule_mod
 from .errors import BridgekitError, ConfigInvalid, NumericalFailure
 from .bridge import eta_rho, make_rhos, markov_x0_coefficient
-from .metrics import RunReport, diversity_score, fit_order, moment_check
+from .metrics import diversity_score, fit_order, moment_check
 from .oracle import GaussianBridgeProblem, GaussianOracle, PerturbedOracle
 from .samplers import (
     Method,
@@ -290,12 +290,20 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     )
 
 
+_OPTION_KEYS = ("n_points", "t_range", "weights", "n_conditions", "samples_per_condition")
+
+
 def _typed_options(options: dict, dim: int) -> dict:
     """A copy of ``options`` with the keys the experiments read checked and typed.
 
-    The counts are row counts of arrays of dimension ``dim``; a diversity
-    score needs at least two samples per condition.
+    Any other key is rejected, so that a misspelt option is not silently
+    replaced by its default.  The counts are row counts of arrays of
+    dimension ``dim``; a diversity score needs at least two samples per
+    condition.
     """
+    unknown = sorted(set(options) - set(_OPTION_KEYS))
+    if unknown:
+        raise ConfigInvalid(f"unknown options {unknown}; choose from {_OPTION_KEYS}")
     out = dict(options)
     for key, least in (("n_points", 1), ("n_conditions", 1), ("samples_per_condition", 2)):
         if key in out:
@@ -330,6 +338,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
 
 
+def _sampler_config(cfg: RunConfig, grid: TimeGrid, seed: int) -> SamplerConfig:
+    """The run's method on ``grid`` with ``seed``.
+
+    eta goes only to dbim1, the one method that uses it: ``load_config``
+    has already warned once that the other methods ignore it.
+    """
+    eta = cfg.eta if cfg.method is Method.DBIM1 else 0.0
+    return SamplerConfig(method=cfg.method, grid=grid, seed=seed, eta=eta)
+
+
 def _predictor(cfg: RunConfig):
     base = GaussianOracle(cfg.problem, cfg.schedule)
     if cfg.bias != 0.0:
@@ -341,7 +359,7 @@ def _predictor(cfg: RunConfig):
 
 
 def _exp_sample(cfg: RunConfig, predictor):
-    scfg = SamplerConfig(method=cfg.method, grid=cfg.grid, seed=cfg.seed, eta=cfg.eta)
+    scfg = _sampler_config(cfg, cfg.grid, cfg.seed)
     terminal, _, _ = sample_batch(scfg, cfg.schedule, predictor, cfg.x_T, cfg.n_trajectories)
     header = ["traj_id"] + [f"coord_{i}" for i in range(cfg.problem.dim)]
     rows = [[i, *row] for i, row in enumerate(terminal.tolist())]
@@ -420,8 +438,7 @@ def _exp_convergence(cfg: RunConfig, predictor):
     errs = []
     for n in cfg.n_steps_sweep:
         grid = _grid_with_steps(cfg.grid, n)
-        scfg = SamplerConfig(method=cfg.method, grid=grid, seed=cfg.seed, eta=cfg.eta)
-        traj = run_sampler(scfg, cfg.schedule, predictor, cfg.x_T)
+        traj = run_sampler(_sampler_config(cfg, grid, cfg.seed), cfg.schedule, predictor, cfg.x_T)
         boot_state = traj.states[1][1]
         sol = solve_ivp(
             lambda t, y: drift_pfode(cfg.schedule, predictor, y, t, cfg.x_T),
@@ -479,7 +496,7 @@ def _exp_diversity(cfg: RunConfig, predictor):
         grid = _grid_with_steps(cfg.grid, n)
         scores = []
         for j in range(n_conditions):
-            scfg = SamplerConfig(method=cfg.method, grid=grid, seed=cfg.seed + 1 + j, eta=cfg.eta)
+            scfg = _sampler_config(cfg, grid, cfg.seed + 1 + j)
             terminal, _, _ = sample_batch(scfg, cfg.schedule, predictor, conditions[j], per_condition)
             score = diversity_score(terminal)
             scores.append(score)
@@ -500,12 +517,13 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig, threads: int = 1) -> int:
+def run(cfg: RunConfig) -> int:
     """Execute one experiment; returns the process exit code.
 
     The report's ``predictor_calls`` is the number of ``predict`` calls the
     experiment made, counted in one place around its predictor; a batched
-    call counts once.  ``threads`` is only echoed in the report.
+    call counts once.  ``resolved.threads`` is 1: the engine runs on the
+    calling thread.
     """
     start = time.perf_counter()
     predictor = _CountingPredictor(_predictor(cfg))
@@ -519,13 +537,11 @@ def run(cfg: RunConfig, threads: int = 1) -> int:
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(cfg.out_dir / csv_name, header, rows)
-    report = RunReport(
-        config=cfg.raw,
-        metrics=metrics,
-        wall_time_s=time.perf_counter() - start,
-        predictor_calls=predictor.calls,
-    ).as_dict()
-    report.update({
+    report = {
+        "config": cfg.raw,
+        "metrics": metrics,
+        "wall_time_s": time.perf_counter() - start,
+        "predictor_calls": predictor.calls,
         "resolved": {
             "experiment": cfg.experiment,
             "method": cfg.method.value,
@@ -534,11 +550,11 @@ def run(cfg: RunConfig, threads: int = 1) -> int:
             "n_trajectories": cfg.n_trajectories,
             "grid_times_first_last": [cfg.grid.times[0], cfg.grid.times[-1]],
             "n_steps": cfg.grid.n_steps,
-            "threads": threads,
+            "threads": 1,
         },
         "version": __version__,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    })
+    }
     with (cfg.out_dir / "report.json").open("w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -615,20 +631,6 @@ def selftest() -> int:
 # --- entry point ------------------------------------------------------------
 
 
-def _resolve_threads(flag_value: int | None) -> int:
-    if flag_value is None:
-        env = os.environ.get("BRIDGEKIT_THREADS")
-        try:
-            flag_value = int(env) if env else 0
-        except ValueError as exc:
-            raise ConfigInvalid(f"BRIDGEKIT_THREADS must be an integer, got {env!r}") from exc
-    if flag_value == 0:
-        return os.cpu_count() or 1
-    if flag_value < 0:
-        raise ConfigInvalid(f"--threads must be >= 0, got {flag_value}")
-    return flag_value
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="bridgekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -637,9 +639,8 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument("--out", default=None, help="output directory (overrides config)")
     runp.add_argument("--seed", type=int, default=None, help="seed override (64-bit unsigned)")
     runp.add_argument("--threads", type=int, default=None,
-                      help="thread count, validated and reported; the engine is single-threaded, "
-                           "so it changes neither results nor speed (0 = CPU count; "
-                           "falls back to BRIDGEKIT_THREADS)")
+                      help="ignored: the engine runs on one thread (kept so that existing "
+                           "command lines still parse)")
     sub.add_parser("selftest", help="run the fast built-in verification checks")
 
     args = parser.parse_args(argv)
@@ -647,7 +648,6 @@ def main(argv: list[str] | None = None) -> int:
         return selftest()
 
     try:
-        threads = _resolve_threads(args.threads)
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         cfg = load_config(raw, out_override=args.out, seed_override=args.seed)
@@ -656,7 +656,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return run(cfg, threads=threads)
+        return run(cfg)
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,24 +25,6 @@ class MomentReport:
     @property
     def max_abs_z(self) -> float:
         return float(np.max(np.abs(self.z_scores)))
-
-
-@dataclass
-class RunReport:
-    """Machine-readable summary of one experiment run."""
-
-    config: dict
-    metrics: dict[str, float] = field(default_factory=dict)
-    wall_time_s: float = 0.0
-    predictor_calls: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "metrics": self.metrics,
-            "wall_time_s": self.wall_time_s,
-            "predictor_calls": self.predictor_calls,
-        }
 
 
 def _as_cov(cov, d: int) -> np.ndarray:

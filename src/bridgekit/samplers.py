@@ -5,10 +5,13 @@ endpoint t = T (where the kernel residual is singular) by drawing
 
     x_{t_{N−1}} = a x_T + b x̂_T + c ε,      x̂_T = predictor(x_T, T, x_T),
 
-with ε the *booting noise*, the latent variable of deterministic sampling,
-and then walk the remaining grid down to t_0:
+with ε the *booting noise*, the latent variable of deterministic sampling
+(a draw from the bridge kernel, :func:`~bridgekit.bridge.forward_sample`,
+with x̂_T in place of x₀), and then walk the remaining grid down to t_0:
 
-* first-order implicit updates at any stochasticity level η (``DBIM1``);
+* first-order implicit updates at any stochasticity level η (``DBIM1``):
+  the inference-kernel mean (``bridge._kernel_mean``) with x̂ in place of
+  x₀, plus ρ_n-scaled noise;
 * second/third-order exponential-integrator steps in the variable
   λ_t = log(b_t/c_t), with derivatives estimated by finite differences of
   stored predictor outputs (``DBIM2``/``DBIM3``);
@@ -62,7 +65,7 @@ from .errors import (
     SingularSystem,
     ZeroVector,
 )
-from .bridge import VarianceParam, _kernel_mean, make_rhos
+from .bridge import VarianceParam, _kernel_mean, forward_sample, inference_kernel_mean_var, make_rhos
 from .oracle import score_from_predictor
 from .schedule import NoiseSchedule, TimeGrid, coeffs
 
@@ -110,7 +113,8 @@ class SamplerConfig:
             warnings.warn(
                 f"eta={self.eta} is ignored for method {self.method.value}; "
                 "only the boot step is stochastic",
-                stacklevel=2,
+                # past __post_init__ and the generated __init__, to the caller
+                stacklevel=3,
             )
         order = _ORDER.get(self.method)
         if order is not None and self.grid.n_steps < order:
@@ -211,15 +215,14 @@ def boot_step(
 ) -> np.ndarray:
     """Stochastic first step from t = T down to ``t_target``.
 
-    Returns a x_T + b x̂_T + c ε at t_target, where x̂_T is the predictor
-    evaluated at the endpoint itself.
+    Draws from the bridge kernel (:func:`~bridgekit.bridge.forward_sample`)
+    at t_target with x̂_T, the predictor evaluated at the endpoint itself,
+    in place of x₀: a x_T + b x̂_T + c ε.
     """
     if not t_target < schedule.horizon:
         raise InitialStepSingularity(f"boot target {t_target} must lie below T={schedule.horizon}")
     xT = np.asarray(xT, dtype=float)
-    k = coeffs(schedule, t_target)
-    x_hat = predictor.predict(xT, schedule.horizon, xT)
-    return k.a * xT + k.b * x_hat + k.c * np.asarray(eps, dtype=float)
+    return forward_sample(schedule, predictor.predict(xT, schedule.horizon, xT), xT, t_target, eps)
 
 
 def dbim_step(
@@ -234,23 +237,12 @@ def dbim_step(
 ) -> np.ndarray:
     """One implicit update from t_{n+1} down to t_n given the prediction x̂.
 
-    With ``eps`` omitted the conditional mean is returned; otherwise the
-    ρ_n-scaled noise is added.  The step leaving t = T is singular
+    This is the mean of :func:`~bridgekit.bridge.inference_kernel_mean_var`
+    with x̂ in place of x₀, plus ρ_n ε when ``eps`` is given, and it has
+    that function's checks.  The step leaving t = T is singular
     (c_{t_{n+1}} = 0) and must go through :func:`boot_step` instead.
     """
-    if t_next >= schedule.horizon:
-        raise InitialStepSingularity(
-            f"step from t={t_next} >= T is singular; use boot_step for the initial step"
-        )
-    kn = coeffs(schedule, t_n)
-    km = coeffs(schedule, t_next)
-    if rho_n > kn.c * (1.0 + 1e-12):
-        raise InvalidGridParams(f"rho_n={rho_n} exceeds c_t={kn.c}")
-    out = _kernel_mean(
-        kn.a, kn.b, kn.c, km.a, km.b, km.c, rho_n,
-        np.asarray(x_next, dtype=float), np.asarray(xT, dtype=float),
-        np.asarray(x_hat, dtype=float),
-    )
+    out, _ = inference_kernel_mean_var(schedule, rho_n, x_hat, x_next, xT, t_n, t_next)
     if eps is not None and rho_n > 0.0:
         out = out + rho_n * np.asarray(eps, dtype=float)
     return out
@@ -457,7 +449,7 @@ def _run_chunk(method, gc, rhos, schedule, predictor, xT, eps_boot, normals, rec
     # making a numpy scalar, and the arithmetic is the same
     a, b, c, lam = gc.a.tolist(), gc.b.tolist(), gc.c.tolist(), gc.lam.tolist()
     x_hat = pred.predict(xT, gc.times[N], xT)
-    x = a[N - 1] * xT + b[N - 1] * x_hat + c[N - 1] * eps_boot
+    x = forward_sample(schedule, x_hat, xT, gc.times[N - 1], eps_boot)
     states = [x] if record else None
     order = _ORDER.get(method)
     # dbim2/3 history: the prediction at t_{i+1}, starting from the boot

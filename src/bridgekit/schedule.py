@@ -204,13 +204,13 @@ def coeffs(schedule: NoiseSchedule, t: float) -> BridgeCoeffs:
 
 
 def lambda_of(schedule: NoiseSchedule, t: float) -> float:
-    """λ_t = log(b_t/c_t) = ½ log(SNR_t − SNR_T), strictly decreasing on (0, T)."""
+    """λ_t = log(b_t/c_t) = ½ log(SNR_t − SNR_T), strictly decreasing on (0, T).
+
+    The value is :func:`coeffs`' ``lam``; unlike :func:`coeffs`, the endpoint
+    t = T (where λ = −inf) is rejected.
+    """
     _check_time(schedule, t, endpoint_ok=False)
-    dls = schedule.log_snr(schedule.horizon) - schedule.log_snr(t)
-    gap = -math.expm1(dls)
-    if gap <= 0.0:
-        raise DegenerateCoefficient(f"SNR gap vanished at t={t}")
-    return 0.5 * (schedule.log_snr(t) + math.log(gap))
+    return coeffs(schedule, t).lam
 
 
 def time_of_lambda(schedule: NoiseSchedule, lam: float) -> float:

@@ -56,6 +56,15 @@ class TestForwardSample:
         with pytest.raises(DimensionMismatch):
             forward_sample(BB, np.zeros(2), np.zeros(3), 0.5, np.zeros(2))
 
+    def test_broadcast_batch_equals_row_draws(self):
+        rng = np.random.default_rng(11)
+        x0, xT = np.array([0.3, -1.2]), np.array([1.5, 0.4])
+        noise = rng.standard_normal((5, 2))
+        batch = forward_sample(BB, x0, xT, 0.7, noise)
+        rows = [forward_sample(BB, x0, xT, 0.7, row) for row in noise]
+        assert batch.shape == (5, 2)
+        assert np.array_equal(batch, np.stack(rows))
+
 
 class TestVarianceSchedule:
     def test_eta_zero_is_deterministic_except_boundary(self):
@@ -130,6 +139,20 @@ class TestInferenceKernel:
             inference_kernel_mean_var(
                 BB, 0.1, np.zeros(1), np.zeros(1), np.zeros(1), 0.5, 1.0
             )
+
+    def test_rho_above_c_rejected(self):
+        # both guarded entry points share one check, with a 1e-12 relative slack
+        from bridgekit import dbim_step
+
+        c = coeffs(BB, 0.25).c
+        x = np.array([0.3])
+        for rho in (c, c * (1.0 + 1e-13)):
+            inference_kernel_mean_var(BB, rho, x, x, x, 0.25, 0.5)
+            dbim_step(BB, rho, x, x, x, 0.25, 0.5)
+        with pytest.raises(InvalidGridParams, match="exceeds"):
+            inference_kernel_mean_var(BB, c * (1.0 + 1e-9), x, x, x, 0.25, 0.5)
+        with pytest.raises(InvalidGridParams, match="exceeds"):
+            dbim_step(BB, c * (1.0 + 1e-9), x, x, x, 0.25, 0.5)
 
 
 class TestMarkovCoefficient:

@@ -99,58 +99,59 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             load_config(cfg)
 
-    # (config key, value, BRIDGEKIT_THREADS); a top-level key is set at the
-    # root, "section.key" in that section and any other key in "problem";
-    # json writes nan/inf as NaN and Infinity, which json.load reads back
-    @pytest.mark.parametrize("key,value,env", [
-        ("cov", [[1.0, 0.0], [0.0, math.nan]], None),
-        ("mix", [[math.nan, 0.0], [0.1, 0.3]], None),
-        ("offset", [0.4, math.inf], None),
-        ("x_T", [math.nan, -0.5], None),
-        ("x0", [0.0, -math.inf], None),
-        ("bias", math.nan, None),
-        (None, None, "abc"),
+    # (config key, value); a top-level key is set at the root, "section.key"
+    # in that section and any other key in "problem"; json writes nan/inf as
+    # NaN and Infinity, which json.load reads back
+    @pytest.mark.parametrize("key,value", [
+        ("cov", [[1.0, 0.0], [0.0, math.nan]]),
+        ("mix", [[math.nan, 0.0], [0.1, 0.3]]),
+        ("offset", [0.4, math.inf]),
+        ("x_T", [math.nan, -0.5]),
+        ("x0", [0.0, -math.inf]),
+        ("bias", math.nan),
         # ill-typed values
-        ("n_trajectories", "abc", None),
-        ("schedule.horizon", [1], None),
-        ("grid.n_steps", "x", None),
-        ("sampler.eta", "x", None),
-        ("seed", "x", None),
-        ("grid.t_min", None, None),
-        ("schedule.beta", "x", None),
-        ("mix", "x", None),
-        ("options.n_points", "x", None),
+        ("n_trajectories", "abc"),
+        ("schedule.horizon", [1]),
+        ("grid.n_steps", "x"),
+        ("sampler.eta", "x"),
+        ("seed", "x"),
+        ("grid.t_min", None),
+        ("schedule.beta", "x"),
+        ("mix", "x"),
+        ("options.n_points", "x"),
         # integer fields with a fractional part
-        ("grid.n_steps", 2.7, None),
-        ("n_trajectories", 2.7, None),
-        ("seed", 1.5, None),
-        ("sampler.n_steps_sweep", [2.5], None),
+        ("grid.n_steps", 2.7),
+        ("n_trajectories", 2.7),
+        ("seed", 1.5),
+        ("sampler.n_steps_sweep", [2.5]),
         # drift-check times are fractions of the horizon in (0, 1)
-        ("options.t_range", [0, 5], None),
+        ("options.t_range", [0, 5]),
         # sigma_t^2 underflows to 0 at the first grid time: on a VP schedule,
         # and on a Brownian bridge where beta * t rounds to 0
-        (("schedule.kind", "grid.t_min"), ("vp", 5e-324), None),
-        (("schedule.beta", "grid.t_min"), (0.5, 5e-324), None),
+        (("schedule.kind", "grid.t_min"), ("vp", 5e-324)),
+        (("schedule.beta", "grid.t_min"), (0.5, 5e-324)),
         # counts far above the limits (test_count_limits has the edges)
-        ("n_trajectories", 2 ** 62, None),
-        ("grid.n_steps", 2 ** 62, None),
-        ("sampler.n_steps_sweep", [2 ** 62], None),
+        ("n_trajectories", 2 ** 62),
+        ("grid.n_steps", 2 ** 62),
+        ("sampler.n_steps_sweep", [2 ** 62]),
         # experiment options far above the limits, and a single sample per
         # condition, which has no diversity score
         (("experiment", "sampler.n_steps_sweep", "options.samples_per_condition"),
-         ("diversity", [4], 2 ** 62), None),
-        (("experiment", "sampler.n_steps_sweep", "options.n_conditions"), ("diversity", [4], 2 ** 62), None),
-        (("experiment", "sampler.n_steps_sweep", "options.samples_per_condition"), ("diversity", [4], 1), None),
-        (("experiment", "options.n_points"), ("drift-check", 2 ** 62), None),
+         ("diversity", [4], 2 ** 62)),
+        (("experiment", "sampler.n_steps_sweep", "options.n_conditions"), ("diversity", [4], 2 ** 62)),
+        (("experiment", "sampler.n_steps_sweep", "options.samples_per_condition"), ("diversity", [4], 1)),
+        (("experiment", "options.n_points"), ("drift-check", 2 ** 62)),
         # sweep entries below the method's order
         (("experiment", "sampler.method", "sampler.eta", "sampler.n_steps_sweep"),
-         ("convergence", "dbim3", 0.0, [8, 2]), None),
+         ("convergence", "dbim3", 0.0, [8, 2])),
         (("experiment", "sampler.method", "sampler.eta", "sampler.n_steps_sweep"),
-         ("diversity", "dbim3", 0.0, [8, 2]), None),
+         ("diversity", "dbim3", 0.0, [8, 2])),
         (("experiment", "sampler.method", "sampler.eta", "grid.kind", "sampler.n_steps_sweep"),
-         ("convergence", "dbim2", 0.0, "edm_power", [1]), None),
+         ("convergence", "dbim2", 0.0, "edm_power", [1])),
+        # a misspelt option key, which would otherwise fall back to its default
+        (("experiment", "options.n_point"), ("drift-check", 5)),
     ])
-    def test_non_finite_input_or_bad_env_exits_2_without_output(self, tmp_path, monkeypatch, key, value, env):
+    def test_invalid_input_exits_2_without_output(self, tmp_path, key, value):
         cfg = base_config()
         # a tuple of keys sets each key to the matching entry of the value tuple
         for key, value in zip(key, value) if isinstance(key, tuple) else [(key, value)]:
@@ -161,10 +162,6 @@ class TestConfigValidation:
                 cfg.setdefault(section, {})[name] = value
             elif key is not None:
                 cfg["problem"][key] = value
-        if env is not None:
-            monkeypatch.setenv("BRIDGEKIT_THREADS", env)
-        else:
-            monkeypatch.delenv("BRIDGEKIT_THREADS", raising=False)
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert not out.exists()
@@ -457,13 +454,34 @@ class TestDeterminism:
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "t8"), "--threads", "8"]) == 0
         assert (tmp_path / "t1" / "sample.csv").read_bytes() == (tmp_path / "t8" / "sample.csv").read_bytes()
 
-    def test_env_threads_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BRIDGEKIT_THREADS", "2")
-        cfg_raw = base_config(n_trajectories=40)
-        p = write_config(tmp_path, cfg_raw)
-        assert main(["run", "--config", str(p), "--out", str(tmp_path / "envt")]) == 0
-        report = json.loads((tmp_path / "envt" / "report.json").read_text())
-        assert report["resolved"]["threads"] == 2
+    def test_threads_flag_and_env_are_ignored(self, tmp_path, monkeypatch):
+        # the engine runs on one thread; --threads still parses, and
+        # BRIDGEKIT_THREADS is not read (a value it used to reject is harmless)
+        monkeypatch.setenv("BRIDGEKIT_THREADS", "abc")
+        p = write_config(tmp_path, base_config(n_trajectories=40))
+        outs = {}
+        for flag in ([], ["--threads", "8"], ["--threads", "-3"]):
+            out = tmp_path / f"t{len(outs)}"
+            assert main(["run", "--config", str(p), "--out", str(out), *flag]) == 0
+            assert json.loads((out / "report.json").read_text())["resolved"]["threads"] == 1
+            outs[out] = (out / "sample.csv").read_bytes()
+        assert len(set(outs.values())) == 1
+
+    @pytest.mark.parametrize("experiment", ["convergence", "diversity"])
+    def test_ignored_eta_warns_once(self, tmp_path, experiment):
+        cfg = base_config(experiment=experiment, n_trajectories=4,
+                          options={"n_conditions": 2, "samples_per_condition": 3})
+        cfg["sampler"] = {"method": "dbim3", "eta": 0.5, "n_steps_sweep": [4, 8]}
+        p = write_config(tmp_path, cfg)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bridgekit.cli", "run", "--config", str(p),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        warned = [line for line in proc.stderr.splitlines() if "is ignored" in line]
+        assert len(warned) == 1
+        assert "cli.py" in warned[0]
 
     def test_console_entry_point(self, tmp_path):
         p = write_config(tmp_path, base_config(n_trajectories=5))

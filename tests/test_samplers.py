@@ -197,6 +197,11 @@ class TestRunDbim1:
         with pytest.warns(UserWarning):
             SamplerConfig(Method.DBIM2, grid_of(4), seed=0, eta=0.5)
 
+    def test_eta_warning_names_the_caller(self):
+        with pytest.warns(UserWarning, match="is ignored") as record:
+            SamplerConfig(Method.DBIM3, grid_of(4), seed=0, eta=0.5)
+        assert record[0].filename == __file__
+
     def test_order_validation(self):
         with pytest.raises(InvalidGridParams):
             SamplerConfig(Method.DBIM3, make_grid(
