@@ -10,6 +10,7 @@ from bridgekit import (
     NoiseSchedule,
     VarianceParam,
     coeffs,
+    dbim_step,
     eta_rho,
     forward_sample,
     inference_kernel_mean_var,
@@ -142,8 +143,6 @@ class TestInferenceKernel:
 
     def test_rho_above_c_rejected(self):
         # both guarded entry points share one check, with a 1e-12 relative slack
-        from bridgekit import dbim_step
-
         c = coeffs(BB, 0.25).c
         x = np.array([0.3])
         for rho in (c, c * (1.0 + 1e-13)):
