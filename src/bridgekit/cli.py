@@ -41,16 +41,6 @@ from .samplers import (
 )
 from .schedule import GridKind, NoiseSchedule, TimeGrid, coeffs, make_grid
 
-EXPERIMENTS = (
-    "sample",
-    "marginals",
-    "drift-check",
-    "convergence",
-    "roundtrip",
-    "interpolate",
-    "diversity",
-)
-
 # upper bounds on the sizes a config may ask for, checked before anything is
 # allocated: trajectories × dimension (2**25 doubles = 256 MB per batch
 # array) and steps per grid, including every n_steps_sweep entry
@@ -85,10 +75,28 @@ def _require(mapping: dict, key: str, ctx: str):
     return mapping[key]
 
 
-def _section(raw: dict, key: str) -> dict:
-    spec = _require(raw, key, "config")
+# the keys a config may give, at its root and in each section but the
+# schedule, whose keys depend on its kind (see _SCHEDULES)
+_ROOT_KEYS = (
+    "schedule", "problem", "grid", "sampler", "experiment", "seed", "n_trajectories", "output", "options",
+)
+_PROBLEM_KEYS = ("mix", "offset", "cov", "x_T", "x0", "bias")
+_GRID_KEYS = ("kind", "n_steps", "t_min", "boot_gap", "edm_exponent")
+_SAMPLER_KEYS = ("method", "eta", "n_steps_sweep")
+_OPTION_KEYS = ("n_points", "t_range", "weights", "n_conditions", "samples_per_condition")
+
+
+def _object(spec, ctx: str, keys=None) -> dict:
+    """``spec`` if it is a JSON object with no key outside ``keys`` (any key when None).
+
+    An undeclared key is rejected, so that a misspelt one is not silently
+    replaced by its default.
+    """
     if not isinstance(spec, dict):
-        raise ConfigInvalid(f"'{key}' must be a JSON object")
+        raise ConfigInvalid(f"{ctx} must be a JSON object")
+    unknown = sorted(set(spec) - set(keys)) if keys is not None else []
+    if unknown:
+        raise ConfigInvalid(f"unknown keys {unknown} in {ctx}; choose from {list(keys)}")
     return spec
 
 
@@ -125,23 +133,24 @@ def _array(spec: dict, key: str, ctx: str) -> np.ndarray:
     return arr.astype(float)
 
 
-# schedule kind -> (constructor, its (parameter, default) pairs before the horizon)
+# schedule kind -> (constructor, the keys it takes besides kind and horizon);
+# a key the config omits takes the constructor's default
 _SCHEDULES = {
-    "vp": (NoiseSchedule.vp, (("beta_min", 0.1), ("beta_max", 20.0))),
-    "ve": (NoiseSchedule.ve, (("sigma_min", 0.01), ("sigma_max", 50.0))),
-    "brownian_bridge": (NoiseSchedule.brownian_bridge, (("beta", 1.0),)),
+    "vp": (NoiseSchedule.vp, ("beta_min", "beta_max")),
+    "ve": (NoiseSchedule.ve, ("sigma_min", "sigma_max")),
+    "brownian_bridge": (NoiseSchedule.brownian_bridge, ("beta",)),
 }
 
 
-def _build_schedule(spec: dict) -> NoiseSchedule:
-    kind = _require(spec, "kind", "schedule")
+def _build_schedule(spec) -> NoiseSchedule:
+    kind = _require(_object(spec, "schedule"), "kind", "schedule")
     if not isinstance(kind, str) or kind not in _SCHEDULES:
         raise ConfigInvalid(f"unknown schedule kind '{kind}'")
-    build, params = _SCHEDULES[kind]
-    args = [_number(spec.get(key, default), f"schedule.{key}") for key, default in params]
-    horizon = _number(spec.get("horizon", 1.0), "schedule.horizon")
+    build, keys = _SCHEDULES[kind]
+    _object(spec, "schedule", ("kind", "horizon", *keys))
+    params = {key: _number(value, f"schedule.{key}") for key, value in spec.items() if key != "kind"}
     try:
-        return build(*args, horizon)
+        return build(**params)
     except BridgekitError as exc:
         raise ConfigInvalid(f"schedule: {exc}") from exc
 
@@ -174,7 +183,9 @@ def _grid_with_steps(grid: TimeGrid, n: int) -> TimeGrid:
     )
 
 
-def _build_grid(spec: dict, sched: NoiseSchedule) -> TimeGrid:
+def _build_grid(spec, sched: NoiseSchedule) -> TimeGrid:
+    """The config's grid, which ends at the schedule's horizon; omitted keys take make_grid's defaults."""
+    spec = _object(spec, "grid", _GRID_KEYS)
     kind_name = spec.get("kind", "uniform_boot")
     try:
         kind = GridKind(kind_name)
@@ -182,14 +193,11 @@ def _build_grid(spec: dict, sched: NoiseSchedule) -> TimeGrid:
         raise ConfigInvalid(f"unknown grid kind '{kind_name}'") from exc
 
     n_steps = _steps(_require(spec, "n_steps", "grid"), "grid.n_steps")
-    params = {
-        key: _number(spec.get(key, default), f"grid.{key}")
-        for key, default in (("t_min", 1e-4), ("t_max", sched.horizon), ("boot_gap", 1e-4), ("edm_exponent", 7.0))
-    }
+    params = {key: _number(value, f"grid.{key}") for key, value in spec.items() if key not in ("kind", "n_steps")}
     try:
-        grid = make_grid(kind, n_steps, **params)
-        # the samplers' coefficient table: building it checks that the grid
-        # ends at the horizon and evaluates (and caches) every coefficient
+        grid = make_grid(kind, n_steps, t_max=sched.horizon, **params)
+        # the samplers' coefficient table: building it evaluates (and
+        # caches) every coefficient
         _GridCoeffs.build(sched, grid)
     except BridgekitError as exc:
         raise ConfigInvalid(f"grid: {exc}") from exc
@@ -202,11 +210,10 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     Every referenced object is constructed (and therefore validated) here,
     before any output file is created.
     """
-    if not isinstance(raw, dict):
-        raise ConfigInvalid("config root must be a JSON object")
-    sched = _build_schedule(_section(raw, "schedule"))
+    _object(raw, "config root", _ROOT_KEYS)
+    sched = _build_schedule(_require(raw, "schedule", "config"))
 
-    pspec = _section(raw, "problem")
+    pspec = _object(_require(raw, "problem", "config"), "problem", _PROBLEM_KEYS)
     try:
         problem = GaussianBridgeProblem(
             mix=_array(pspec, "mix", "problem"),
@@ -229,9 +236,9 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
             raise ConfigInvalid("x0 has non-finite entries")
     bias = _number(pspec.get("bias", 0.0), "problem.bias")
 
-    grid = _build_grid(_section(raw, "grid"), sched)
+    grid = _build_grid(_require(raw, "grid", "config"), sched)
 
-    sspec = _section(raw, "sampler")
+    sspec = _object(_require(raw, "sampler", "config"), "sampler", _SAMPLER_KEYS)
     method_name = _require(sspec, "method", "sampler")
     try:
         method = Method(method_name)
@@ -271,11 +278,10 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     existing = next((p for p in (out_dir, *out_dir.parents) if os.path.lexists(p)), None)
     if existing is not None and not existing.is_dir():
         raise ConfigInvalid(f"output {output!r}: {str(existing)!r} exists and is not a directory")
-    n_traj = _rows(raw.get("n_trajectories", 100), "n_trajectories", problem.dim)
-    options = raw.get("options", {})
-    if not isinstance(options, dict):
-        raise ConfigInvalid("options must be a JSON object")
-    options = _typed_options(options, problem.dim)
+    # the sample and marginals metrics are sample variances, which need two rows
+    least = 2 if experiment in ("sample", "marginals") else 1
+    n_traj = _rows(raw.get("n_trajectories", 100), "n_trajectories", problem.dim, least)
+    options = _typed_options(_object(raw.get("options", {}), "options", _OPTION_KEYS), problem.dim)
 
     # construct the sampler config now so its validation also runs up front
     try:
@@ -290,20 +296,12 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     )
 
 
-_OPTION_KEYS = ("n_points", "t_range", "weights", "n_conditions", "samples_per_condition")
-
-
 def _typed_options(options: dict, dim: int) -> dict:
     """A copy of ``options`` with the keys the experiments read checked and typed.
 
-    Any other key is rejected, so that a misspelt option is not silently
-    replaced by its default.  The counts are row counts of arrays of
-    dimension ``dim``; a diversity score needs at least two samples per
-    condition.
+    The counts are row counts of arrays of dimension ``dim``; a diversity
+    score needs at least two samples per condition.
     """
-    unknown = sorted(set(options) - set(_OPTION_KEYS))
-    if unknown:
-        raise ConfigInvalid(f"unknown options {unknown}; choose from {_OPTION_KEYS}")
     out = dict(options)
     for key, least in (("n_points", 1), ("n_conditions", 1), ("samples_per_condition", 2)):
         if key in out:
@@ -515,6 +513,7 @@ _RUNNERS = {
     "interpolate": _exp_interpolate,
     "diversity": _exp_diversity,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(cfg: RunConfig) -> int:

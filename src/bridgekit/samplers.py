@@ -305,41 +305,6 @@ def _taylor(lam_s: float, lam_t: float, x_hat, x_hat_d1, x_hat_d2) -> np.ndarray
     return math.exp(lam_s) * out
 
 
-def _fd_first(lam_t: float, xh_t: np.ndarray, lam_u: float, xh_u: np.ndarray) -> np.ndarray:
-    """(x̂_t − x̂_u)/h₁, with a unit effective gap against the boot entry.
-
-    Toward the pinned endpoint every bridge prediction behaves as
-    x̂(λ) = x̂_T + e^λ ψ(λ) with ψ smooth, so as the history point recedes
-    to λ = −inf the consistent limit of the divided difference is
-    x̂_t − x̂_T itself (relative error O(e^{2λ_t})), not zero.
-    """
-    if lam_u == -math.inf:
-        return xh_t - xh_u
-    return (xh_t - xh_u) / (lam_t - lam_u)
-
-
-def _fd_pair(
-    lam_t: float, xh_t: np.ndarray,
-    lam_u1: float, xh_u1: np.ndarray,
-    lam_u2: float, d1_far: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Divided-difference estimates of the first two λ-derivatives.
-
-    ``d1_far`` is (x̂_u1 − x̂_u2)/(λ_u1 − λ_u2), the near difference of the
-    previous step, which is also returned for the next one.  With the
-    older history point at λ = −inf (the boot prediction) the pair
-    degenerates continuously to the one-point estimate and zero curvature.
-    """
-    h1 = lam_t - lam_u1
-    d1_near = (xh_t - xh_u1) / h1
-    if lam_u2 == -math.inf:
-        return d1_near, np.zeros_like(xh_t), d1_near
-    h2 = lam_u1 - lam_u2
-    d1 = (d1_near * (2.0 * h1 + h2) - d1_far * h1) / (h1 + h2)
-    d2 = 2.0 * (d1_near - d1_far) / (h1 + h2)
-    return d1, d2, d1_near
-
-
 # ---------------------------------------------------------------------------
 # drifts
 # ---------------------------------------------------------------------------
@@ -456,7 +421,7 @@ def _run_chunk(method, gc, rhos, schedule, predictor, xT, eps_boot, normals, rec
     # prediction at λ = −inf, and for dbim3 the divided difference of the
     # predictions at t_{i+1} and t_{i+2}
     newer = x_hat
-    d1_far = None
+    d_far = None
     # x_T tiled to the batch for the updates (same values as the broadcast);
     # predict keeps the (d,) x_T, since a tiled one would compute m(x_T) as a
     # batched product, which can round differently
@@ -472,10 +437,21 @@ def _run_chunk(method, gc, rhos, schedule, predictor, xT, eps_boot, normals, rec
                 x = x + rhos[i - 1] * normals(_STEP_TAG, i - 1, x.shape)
         elif order is not None:
             x_hat = pred.predict(x, t_hi, xT)
-            if order == 2 or i == N - 1:
-                d1, d2 = _fd_first(lam[i], x_hat, lam[i + 1], newer), None
+            # divided differences in λ.  Toward the pinned endpoint every
+            # prediction behaves as x̂(λ) = x̂_T + e^λ ψ(λ) with ψ smooth, so
+            # against the boot prediction at λ = −inf the consistent limit of
+            # the first difference is x̂_t − x̂_T itself (relative error
+            # O(e^{2λ_t})), and dbim3's first two steps take no curvature
+            if i == N - 1:
+                d_near = x_hat - newer
             else:
-                d1, d2, d1_far = _fd_pair(lam[i], x_hat, lam[i + 1], newer, lam[i + 2], d1_far)
+                d_near = (x_hat - newer) / (lam[i] - lam[i + 1])
+            d1, d2 = d_near, None
+            if order == 3 and i < N - 2:
+                h1, h2 = lam[i] - lam[i + 1], lam[i + 1] - lam[i + 2]
+                d1 = (d_near * (2.0 * h1 + h2) - d_far * h1) / (h1 + h2)
+                d2 = 2.0 * (d_near - d_far) / (h1 + h2)
+            d_far = d_near
             integral = _taylor(lam[i - 1], lam[i], x_hat, d1, d2)
             newer = x_hat
             c_ratio = c[i - 1] / c[i]

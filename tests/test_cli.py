@@ -1,6 +1,7 @@
 """CLI harness: config validation, experiment outputs, determinism, selftest."""
 
 import csv
+import inspect
 import json
 import math
 import subprocess
@@ -128,7 +129,7 @@ class TestConfigValidation:
         ("options.t_range", [0, 5]),
         # sigma_t^2 underflows to 0 at the first grid time: on a VP schedule,
         # and on a Brownian bridge where beta * t rounds to 0
-        (("schedule.kind", "grid.t_min"), ("vp", 5e-324)),
+        (("schedule", "grid.t_min"), ({"kind": "vp"}, 5e-324)),
         (("schedule.beta", "grid.t_min"), (0.5, 5e-324)),
         # counts far above the limits (test_count_limits has the edges)
         ("n_trajectories", 2 ** 62),
@@ -165,6 +166,57 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert not out.exists()
+
+    # one misspelt key at the root and in each section; each would otherwise
+    # be replaced by its default (a schedule key of another kind as well)
+    @pytest.mark.parametrize("path", [
+        ("n_trajectorie",), ("schedule", "horizn"), ("schedule", "beta_min"), ("problem", "biass"),
+        ("grid", "bootgap"), ("sampler", "etaa"), ("options", "n_point"),
+    ], ids="-".join)
+    def test_misspelt_key_exits_2_without_output(self, tmp_path, capsys, path):
+        cfg = base_config(options={})
+        owner = cfg
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = 1.0
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert f"unknown keys ['{path[-1]}']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_t_max_rejected(self):
+        # the grid always ends at schedule.horizon, so even t_max at the
+        # horizon is an unknown key (test_grid_must_end_at_horizon has 0.5)
+        cfg = base_config()
+        cfg["grid"]["t_max"] = cfg["schedule"]["horizon"]
+        with pytest.raises(ConfigInvalid, match="unknown keys"):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("grid_kind", list(bridgekit.schedule.GridKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("kind", ["vp", "ve", "brownian_bridge"])
+    def test_omitted_keys_take_the_library_defaults(self, kind, grid_kind):
+        def defaults(fn, skip):
+            params = inspect.signature(fn).parameters.values()
+            return {p.name: p.default for p in params if p.default is not p.empty and p.name not in skip}
+
+        short = base_config(schedule={"kind": kind}, grid={"kind": grid_kind.value, "n_steps": 10})
+        spelled = base_config(
+            schedule={"kind": kind, **defaults(getattr(bridgekit.schedule.NoiseSchedule, kind), ())},
+            grid={"kind": grid_kind.value, "n_steps": 10,
+                  **defaults(bridgekit.schedule.make_grid, ("t_max",))},
+        )
+        assert set(spelled["schedule"]) > {"kind", "horizon"}
+        assert set(spelled["grid"]) == {"kind", "n_steps", "t_min", "boot_gap", "edm_exponent"}
+        a, b = load_config(short), load_config(spelled)
+        assert (a.schedule, a.grid) == (b.schedule, b.grid)
+
+    @pytest.mark.parametrize("experiment,code", [("sample", 2), ("marginals", 2), ("roundtrip", 0)])
+    def test_single_trajectory(self, tmp_path, experiment, code):
+        # sample and marginals report sample variances, which need two rows
+        cfg = base_config(experiment=experiment, n_trajectories=1)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
 
     def test_count_limits(self):
         # load_config only, so that nothing near the limits is allocated

@@ -130,7 +130,7 @@ def test_csv_digest(tmp_path, name, sampler, n_traj, experiment, extra):
 
 def _states_bytes(method: Method) -> bytes:
     cfg = load_config(_config({"method": method.value, "eta": 0.5 if method is Method.DBIM1 else 0.0},
-                              1, "sample", {}))
+                              2, "sample", {}))
     scfg = SamplerConfig(method, cfg.grid, seed=9, eta=cfg.eta)
     traj = run_sampler(scfg, cfg.schedule, GaussianOracle(cfg.problem, cfg.schedule), cfg.x_T)
     rows = np.array([np.append(t, x) for t, x in traj.states])
@@ -143,7 +143,7 @@ def test_run_sampler_states_digest(method):
 
 
 def _decode_bytes() -> bytes:
-    cfg = load_config(_config({"method": "dbim1"}, 1, "sample", {}, n_steps=30))
+    cfg = load_config(_config({"method": "dbim1"}, 2, "sample", {}, n_steps=30))
     oracle = GaussianOracle(cfg.problem, cfg.schedule)
     eps = np.random.default_rng(4).standard_normal((6, 2))
     return b"".join(decode(cfg.schedule, oracle, e, cfg.x_T, cfg.grid).tobytes() for e in eps)
