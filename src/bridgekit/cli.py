@@ -4,6 +4,12 @@ Exit codes: 0 on success, 2 on configuration errors (nothing is written),
 3 on numerical failure during an experiment (the offending operation is
 named on stderr).  CSV bodies are byte-identical across reruns of the same
 config and seed; wall-clock information lives only in the JSON report.
+
+One table, ``_EXPERIMENTS``, says what each experiment reads beyond the
+keys every experiment shares: its options with their defaults, whether it
+needs ``sampler.n_steps_sweep``, its least ``n_trajectories``, and which of
+``problem.x0`` and ``problem.bias`` it reads.  A config that gives a key
+its experiment does not read is invalid.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -57,7 +64,7 @@ class RunConfig:
     grid: TimeGrid
     method: Method
     eta: float
-    n_steps_sweep: list[int]
+    sweep: tuple[TimeGrid, ...]
     experiment: str
     seed: int
     out_dir: Path
@@ -75,15 +82,15 @@ def _require(mapping: dict, key: str, ctx: str):
     return mapping[key]
 
 
-# the keys a config may give, at its root and in each section but the
-# schedule, whose keys depend on its kind (see _SCHEDULES)
+# the keys every config may give, at its root and in each section but the
+# schedule, whose keys depend on its kind (see _SCHEDULES); _EXPERIMENTS adds
+# the keys each experiment reads
 _ROOT_KEYS = (
     "schedule", "problem", "grid", "sampler", "experiment", "seed", "n_trajectories", "output", "options",
 )
-_PROBLEM_KEYS = ("mix", "offset", "cov", "x_T", "x0", "bias")
+_PROBLEM_KEYS = ("mix", "offset", "cov", "x_T")
 _GRID_KEYS = ("kind", "n_steps", "t_min", "boot_gap", "edm_exponent")
-_SAMPLER_KEYS = ("method", "eta", "n_steps_sweep")
-_OPTION_KEYS = ("n_points", "t_range", "weights", "n_conditions", "samples_per_condition")
+_SAMPLER_KEYS = ("method", "eta")
 
 
 def _object(spec, ctx: str, keys=None) -> dict:
@@ -175,24 +182,19 @@ def _rows(value, name: str, dim: int, least: int = 1) -> int:
     return n
 
 
-def _grid_with_steps(grid: TimeGrid, n: int) -> TimeGrid:
-    """A grid of the kind and parameters of ``grid``, with ``n`` steps."""
-    return make_grid(
-        grid.kind, n, t_min=grid.t_min, t_max=grid.t_max,
-        boot_gap=grid.boot_gap, edm_exponent=grid.edm_exponent,
-    )
+def _build_grid(spec: dict, sched: NoiseSchedule, n_steps, name: str) -> TimeGrid:
+    """The grid section ``spec`` with ``n_steps`` steps, read as the field ``name``.
 
-
-def _build_grid(spec, sched: NoiseSchedule) -> TimeGrid:
-    """The config's grid, which ends at the schedule's horizon; omitted keys take make_grid's defaults."""
-    spec = _object(spec, "grid", _GRID_KEYS)
+    The grid ends at the schedule's horizon; omitted keys take make_grid's
+    defaults.
+    """
     kind_name = spec.get("kind", "uniform_boot")
     try:
         kind = GridKind(kind_name)
     except ValueError as exc:
         raise ConfigInvalid(f"unknown grid kind '{kind_name}'") from exc
 
-    n_steps = _steps(_require(spec, "n_steps", "grid"), "grid.n_steps")
+    n_steps = _steps(n_steps, name)
     params = {key: _number(value, f"grid.{key}") for key, value in spec.items() if key not in ("kind", "n_steps")}
     try:
         grid = make_grid(kind, n_steps, t_max=sched.horizon, **params)
@@ -200,20 +202,29 @@ def _build_grid(spec, sched: NoiseSchedule) -> TimeGrid:
         # caches) every coefficient
         _GridCoeffs.build(sched, grid)
     except BridgekitError as exc:
-        raise ConfigInvalid(f"grid: {exc}") from exc
+        raise ConfigInvalid(f"grid with {name} = {n_steps}: {exc}") from exc
     return grid
 
 
 def load_config(raw: dict, out_override: str | None = None, seed_override: int | None = None) -> RunConfig:
     """Validate a raw JSON document into a RunConfig.
 
-    Every referenced object is constructed (and therefore validated) here,
-    before any output file is created.
+    The experiment is read first: its entry in ``_EXPERIMENTS`` gives the
+    keys that ``problem``, ``sampler`` and ``options`` may hold besides the
+    shared ones, and the defaults of the options it reads.  Every referenced
+    object is constructed (and therefore validated) here, before any output
+    file is created.
     """
     _object(raw, "config root", _ROOT_KEYS)
+    experiment = _require(raw, "experiment", "config")
+    # a list or object is unhashable, so the type is tested before the lookup
+    if not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
+        raise ConfigInvalid(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
+    entry = _EXPERIMENTS[experiment]
+    ctx = f"experiment '{experiment}'"
     sched = _build_schedule(_require(raw, "schedule", "config"))
 
-    pspec = _object(_require(raw, "problem", "config"), "problem", _PROBLEM_KEYS)
+    pspec = _object(_require(raw, "problem", "config"), f"problem of {ctx}", _PROBLEM_KEYS + entry.problem)
     try:
         problem = GaussianBridgeProblem(
             mix=_array(pspec, "mix", "problem"),
@@ -236,39 +247,34 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
             raise ConfigInvalid("x0 has non-finite entries")
     bias = _number(pspec.get("bias", 0.0), "problem.bias")
 
-    grid = _build_grid(_require(raw, "grid", "config"), sched)
+    gspec = _object(_require(raw, "grid", "config"), "grid", _GRID_KEYS)
+    grid = _build_grid(gspec, sched, _require(gspec, "n_steps", "grid"), "grid.n_steps")
 
-    sspec = _object(_require(raw, "sampler", "config"), "sampler", _SAMPLER_KEYS)
+    sweep_keys = ("n_steps_sweep",) if entry.sweep else ()
+    sspec = _object(_require(raw, "sampler", "config"), f"sampler of {ctx}", _SAMPLER_KEYS + sweep_keys)
     method_name = _require(sspec, "method", "sampler")
     try:
         method = Method(method_name)
     except ValueError as exc:
         raise ConfigInvalid(f"unknown sampler method '{method_name}'") from exc
     eta = _number(sspec.get("eta", 0.0), "sampler.eta")
-    sweep = sspec.get("n_steps_sweep", [])
-    if not isinstance(sweep, list):
-        raise ConfigInvalid(f"sampler.n_steps_sweep must be a list, got {sweep!r}")
-    sweep = [_steps(n, "sampler.n_steps_sweep entry") for n in sweep]
-
-    experiment = _require(raw, "experiment", "config")
-    if experiment not in EXPERIMENTS:
-        raise ConfigInvalid(f"unknown experiment '{experiment}'; choose from {EXPERIMENTS}")
-    if experiment in ("convergence", "diversity"):
-        if not sweep:
-            raise ConfigInvalid(f"experiment '{experiment}' requires sampler.n_steps_sweep")
-        for n in sweep:
-            try:
-                sweep_grid = _grid_with_steps(grid, n)
-                _GridCoeffs.build(sched, sweep_grid)
-                # the grid's step count against the method's order; eta is
-                # checked with the run's own grid below
-                SamplerConfig(method=method, grid=sweep_grid, seed=0)
-            except BridgekitError as exc:
-                raise ConfigInvalid(f"n_steps_sweep entry {n}: {exc}") from exc
+    sweep = ()
+    if entry.sweep:
+        entries = sspec.get("n_steps_sweep")
+        if not isinstance(entries, list) or not entries:
+            raise ConfigInvalid(f"{ctx} requires sampler.n_steps_sweep, a non-empty list; got {entries!r}")
+        sweep = tuple(_build_grid(gspec, sched, n, "sampler.n_steps_sweep entry") for n in entries)
 
     seed = _number(raw.get("seed", 0) if seed_override is None else seed_override, "seed", integer=True)
     if not 0 <= seed < 2 ** 64:
         raise ConfigInvalid(f"seed must fit in 64 bits, got {seed}")
+    # construct the sampler configs now so their validation also runs up front
+    for run_grid in (grid, *sweep):
+        try:
+            SamplerConfig(method, run_grid, seed, eta)
+        except BridgekitError as exc:
+            raise ConfigInvalid(f"sampler: {exc}") from exc
+
     output = out_override if out_override is not None else raw.get("output", "out")
     if not isinstance(output, str):
         raise ConfigInvalid(f"output must be a path string, got {output!r}")
@@ -278,49 +284,41 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     existing = next((p for p in (out_dir, *out_dir.parents) if os.path.lexists(p)), None)
     if existing is not None and not existing.is_dir():
         raise ConfigInvalid(f"output {output!r}: {str(existing)!r} exists and is not a directory")
-    # the sample and marginals metrics are sample variances, which need two rows
-    least = 2 if experiment in ("sample", "marginals") else 1
-    n_traj = _rows(raw.get("n_trajectories", 100), "n_trajectories", problem.dim, least)
-    options = _typed_options(_object(raw.get("options", {}), "options", _OPTION_KEYS), problem.dim)
-
-    # construct the sampler config now so its validation also runs up front
-    try:
-        SamplerConfig(method=method, grid=grid, seed=seed, eta=eta)
-    except BridgekitError as exc:
-        raise ConfigInvalid(f"sampler: {exc}") from exc
+    n_traj = _rows(raw.get("n_trajectories", 100), "n_trajectories", problem.dim, entry.least_rows)
+    given = _object(raw.get("options", {}), f"options of {ctx}", tuple(entry.options))
+    options = _typed_options({**entry.options, **given}, problem.dim)
 
     return RunConfig(
         schedule=sched, problem=problem, grid=grid, method=method, eta=eta,
-        n_steps_sweep=sweep, experiment=experiment, seed=seed, out_dir=out_dir,
+        sweep=sweep, experiment=experiment, seed=seed, out_dir=out_dir,
         n_trajectories=n_traj, x_T=x_T, x0=x0, bias=bias, options=options, raw=raw,
     )
 
 
 def _typed_options(options: dict, dim: int) -> dict:
-    """A copy of ``options`` with the keys the experiments read checked and typed.
+    """``options``, defaults filled in, with each value checked and typed in place.
 
     The counts are row counts of arrays of dimension ``dim``; a diversity
     score needs at least two samples per condition.
     """
-    out = dict(options)
     for key, least in (("n_points", 1), ("n_conditions", 1), ("samples_per_condition", 2)):
-        if key in out:
-            out[key] = _rows(out[key], f"options.{key}", dim, least)
-    if "t_range" in out:
-        t_range = out["t_range"]
+        if key in options:
+            options[key] = _rows(options[key], f"options.{key}", dim, least)
+    if "t_range" in options:
+        t_range = options["t_range"]
         if not isinstance(t_range, list) or len(t_range) != 2:
             raise ConfigInvalid(f"options.t_range must be a list [lo, hi], got {t_range!r}")
         lo, hi = (_number(v, "options.t_range entry") for v in t_range)
         # fractions of the horizon; drift is undefined at both ends
         if not 0.0 < lo <= hi < 1.0:
             raise ConfigInvalid(f"options.t_range must satisfy 0 < lo <= hi < 1, got {t_range}")
-        out["t_range"] = (lo, hi)
-    if "weights" in out:
-        weights = out["weights"]
+        options["t_range"] = (lo, hi)
+    if "weights" in options:
+        weights = options["weights"]
         if not isinstance(weights, list):
             raise ConfigInvalid(f"options.weights must be a list, got {weights!r}")
-        out["weights"] = [_number(w, "options.weights entry") for w in weights]
-    return out
+        options["weights"] = [_number(w, "options.weights entry") for w in weights]
+    return options
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -336,16 +334,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
 
 
-def _sampler_config(cfg: RunConfig, grid: TimeGrid, seed: int) -> SamplerConfig:
-    """The run's method on ``grid`` with ``seed``.
-
-    eta goes only to dbim1, the one method that uses it: ``load_config``
-    has already warned once that the other methods ignore it.
-    """
-    eta = cfg.eta if cfg.method is Method.DBIM1 else 0.0
-    return SamplerConfig(method=cfg.method, grid=grid, seed=seed, eta=eta)
-
-
 def _predictor(cfg: RunConfig):
     base = GaussianOracle(cfg.problem, cfg.schedule)
     if cfg.bias != 0.0:
@@ -357,7 +345,7 @@ def _predictor(cfg: RunConfig):
 
 
 def _exp_sample(cfg: RunConfig, predictor):
-    scfg = _sampler_config(cfg, cfg.grid, cfg.seed)
+    scfg = SamplerConfig(cfg.method, cfg.grid, cfg.seed, cfg.eta)
     terminal, _, _ = sample_batch(scfg, cfg.schedule, predictor, cfg.x_T, cfg.n_trajectories)
     header = ["traj_id"] + [f"coord_{i}" for i in range(cfg.problem.dim)]
     rows = [[i, *row] for i, row in enumerate(terminal.tolist())]
@@ -419,10 +407,9 @@ def _drift_gaps(schedule: NoiseSchedule, predictor, rng, n_points: int, dim: int
 
 
 def _exp_drift_check(cfg: RunConfig, predictor):
-    n_points = cfg.options.get("n_points", 1000)
-    lo, hi = cfg.options.get("t_range", (0.01, 0.99))
+    lo, hi = cfg.options["t_range"]
     rng = np.random.default_rng(cfg.seed)
-    gaps = _drift_gaps(cfg.schedule, predictor, rng, n_points, cfg.problem.dim, lo, hi)
+    gaps = _drift_gaps(cfg.schedule, predictor, rng, cfg.options["n_points"], cfg.problem.dim, lo, hi)
     rows = [[i, t, rel] for i, (t, rel) in enumerate(gaps)]
     header = ["idx", "t", "rel_dev"]
     return "drift_check.csv", header, rows, {"max_rel_dev": max(rel for _, rel in gaps)}
@@ -434,9 +421,8 @@ def _exp_convergence(cfg: RunConfig, predictor):
 
     rows = []
     errs = []
-    for n in cfg.n_steps_sweep:
-        grid = _grid_with_steps(cfg.grid, n)
-        traj = run_sampler(_sampler_config(cfg, grid, cfg.seed), cfg.schedule, predictor, cfg.x_T)
+    for grid in cfg.sweep:
+        traj = run_sampler(SamplerConfig(cfg.method, grid, cfg.seed, cfg.eta), cfg.schedule, predictor, cfg.x_T)
         boot_state = traj.states[1][1]
         sol = solve_ivp(
             lambda t, y: drift_pfode(cfg.schedule, predictor, y, t, cfg.x_T),
@@ -445,11 +431,11 @@ def _exp_convergence(cfg: RunConfig, predictor):
         )
         err = float(np.linalg.norm(traj.terminal - sol.y[:, -1]))
         errs.append(err)
-        rows.append([cfg.method.value, cfg.eta, n, err])
+        rows.append([cfg.method.value, cfg.eta, grid.n_steps, err])
     header = ["method", "eta", "n_steps", "terminal_err"]
     metrics = {}
     if len(errs) >= 3 and min(errs) > 0:
-        metrics["fitted_slope"] = fit_order(cfg.n_steps_sweep, errs)
+        metrics["fitted_slope"] = fit_order([grid.n_steps for grid in cfg.sweep], errs)
     return "convergence.csv", header, rows, metrics
 
 
@@ -470,7 +456,7 @@ def _exp_roundtrip(cfg: RunConfig, predictor):
 
 
 def _exp_interpolate(cfg: RunConfig, predictor):
-    weights = cfg.options.get("weights", [0.0, 0.25, 0.5, 0.75, 1.0])
+    weights = cfg.options["weights"]
     rng = np.random.default_rng(cfg.seed)
     eps_a = rng.standard_normal(cfg.problem.dim)
     eps_b = rng.standard_normal(cfg.problem.dim)
@@ -484,36 +470,52 @@ def _exp_interpolate(cfg: RunConfig, predictor):
 
 
 def _exp_diversity(cfg: RunConfig, predictor):
-    n_conditions = cfg.options.get("n_conditions", 8)
-    per_condition = cfg.options.get("samples_per_condition", 5)
+    n_conditions = cfg.options["n_conditions"]
+    per_condition = cfg.options["samples_per_condition"]
     rng = np.random.default_rng(cfg.seed)
     conditions = rng.standard_normal((n_conditions, cfg.problem.dim))
     rows = []
     metrics = {}
-    for n in cfg.n_steps_sweep:
-        grid = _grid_with_steps(cfg.grid, n)
+    for grid in cfg.sweep:
         scores = []
         for j in range(n_conditions):
-            scfg = _sampler_config(cfg, grid, cfg.seed + 1 + j)
+            scfg = SamplerConfig(cfg.method, grid, cfg.seed + 1 + j, cfg.eta)
             terminal, _, _ = sample_batch(scfg, cfg.schedule, predictor, conditions[j], per_condition)
             score = diversity_score(terminal)
             scores.append(score)
-            rows.append([j, n, cfg.eta, score])
-        metrics[f"mean_diversity_n{n}"] = float(np.mean(scores))
+            rows.append([j, grid.n_steps, cfg.eta, score])
+        metrics[f"mean_diversity_n{grid.n_steps}"] = float(np.mean(scores))
     header = ["condition_id", "n_steps", "eta", "score"]
     return "diversity.csv", header, rows, metrics
 
 
-_RUNNERS = {
-    "sample": _exp_sample,
-    "marginals": _exp_marginals,
-    "drift-check": _exp_drift_check,
-    "convergence": _exp_convergence,
-    "roundtrip": _exp_roundtrip,
-    "interpolate": _exp_interpolate,
-    "diversity": _exp_diversity,
+@dataclass(frozen=True)
+class _Experiment:
+    """What one experiment reads beyond the keys every experiment shares.
+
+    ``options`` maps each option it reads to its default, in config form;
+    ``problem`` names the optional problem keys (``x0``, ``bias``) it reads.
+    """
+
+    runner: Callable
+    options: dict
+    sweep: bool = False  # reads sampler.n_steps_sweep, which it requires
+    least_rows: int = 1  # least n_trajectories
+    problem: tuple[str, ...] = ("bias",)
+
+
+# every experiment but marginals calls the predictor, so reads bias; the
+# sample and marginals metrics are sample variances, which need two rows
+_EXPERIMENTS = {
+    "sample": _Experiment(_exp_sample, {}, least_rows=2),
+    "marginals": _Experiment(_exp_marginals, {}, least_rows=2, problem=("x0",)),
+    "drift-check": _Experiment(_exp_drift_check, {"n_points": 1000, "t_range": [0.01, 0.99]}),
+    "convergence": _Experiment(_exp_convergence, {}, sweep=True),
+    "roundtrip": _Experiment(_exp_roundtrip, {}),
+    "interpolate": _Experiment(_exp_interpolate, {"weights": [0.0, 0.25, 0.5, 0.75, 1.0]}),
+    "diversity": _Experiment(_exp_diversity, {"n_conditions": 8, "samples_per_condition": 5}, sweep=True),
 }
-EXPERIMENTS = tuple(_RUNNERS)
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run(cfg: RunConfig) -> int:
@@ -527,7 +529,7 @@ def run(cfg: RunConfig) -> int:
     start = time.perf_counter()
     predictor = _CountingPredictor(_predictor(cfg))
     try:
-        csv_name, header, rows, metrics = _RUNNERS[cfg.experiment](cfg, predictor)
+        csv_name, header, rows, metrics = _EXPERIMENTS[cfg.experiment].runner(cfg, predictor)
     except BridgekitError as exc:
         raise NumericalFailure(cfg.experiment, str(exc)) from exc
     for value in metrics.values():

@@ -45,7 +45,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -99,7 +98,11 @@ _ORDER = {Method.DBIM2: 2, Method.DBIM3: 3}
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Method, stochasticity level, grid, and seed for one sampling run."""
+    """Method, stochasticity level, grid, and seed for one sampling run.
+
+    η indexes only the ``dbim1`` family; every other method takes η = 0, and
+    a nonzero η with one of them raises InvalidGridParams.
+    """
 
     method: Method
     grid: TimeGrid
@@ -110,12 +113,7 @@ class SamplerConfig:
         if not 0.0 <= self.eta <= 1.0:
             raise InvalidGridParams(f"eta must lie in [0, 1], got {self.eta}")
         if self.method is not Method.DBIM1 and self.eta != 0.0:
-            warnings.warn(
-                f"eta={self.eta} is ignored for method {self.method.value}; "
-                "only the boot step is stochastic",
-                # past __post_init__ and the generated __init__, to the caller
-                stacklevel=3,
-            )
+            raise InvalidGridParams(f"eta applies to dbim1 only; {self.method.value} got eta={self.eta}")
         order = _ORDER.get(self.method)
         if order is not None and self.grid.n_steps < order:
             raise InvalidGridParams(

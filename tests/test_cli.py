@@ -41,6 +41,14 @@ def base_config(**overrides):
     return cfg
 
 
+def experiment_config(experiment, **overrides):
+    """base_config for ``experiment``, with a step sweep for the two that read one."""
+    cfg = base_config(experiment=experiment, **overrides)
+    if experiment in ("convergence", "diversity"):
+        cfg["sampler"]["n_steps_sweep"] = [4, 8]
+    return cfg
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -108,7 +116,9 @@ class TestConfigValidation:
         ("mix", [[math.nan, 0.0], [0.1, 0.3]]),
         ("offset", [0.4, math.inf]),
         ("x_T", [math.nan, -0.5]),
-        ("x0", [0.0, -math.inf]),
+        # these cases also set the experiment that reads the key; their ids
+        # name the key alone
+        pytest.param(("experiment", "x0"), ("marginals", [0.0, -math.inf]), id="x0-value4"),
         ("bias", math.nan),
         # ill-typed values
         ("n_trajectories", "abc"),
@@ -119,14 +129,15 @@ class TestConfigValidation:
         ("grid.t_min", None),
         ("schedule.beta", "x"),
         ("mix", "x"),
-        ("options.n_points", "x"),
+        pytest.param(("experiment", "options.n_points"), ("drift-check", "x"), id="options.n_points-x"),
         # integer fields with a fractional part
         ("grid.n_steps", 2.7),
         ("n_trajectories", 2.7),
         ("seed", 1.5),
-        ("sampler.n_steps_sweep", [2.5]),
+        pytest.param(("experiment", "sampler.n_steps_sweep"), ("convergence", [2.5]),
+                     id="sampler.n_steps_sweep-value18"),
         # drift-check times are fractions of the horizon in (0, 1)
-        ("options.t_range", [0, 5]),
+        pytest.param(("experiment", "options.t_range"), ("drift-check", [0, 5]), id="options.t_range-value19"),
         # sigma_t^2 underflows to 0 at the first grid time: on a VP schedule,
         # and on a Brownian bridge where beta * t rounds to 0
         (("schedule", "grid.t_min"), ({"kind": "vp"}, 5e-324)),
@@ -134,7 +145,8 @@ class TestConfigValidation:
         # counts far above the limits (test_count_limits has the edges)
         ("n_trajectories", 2 ** 62),
         ("grid.n_steps", 2 ** 62),
-        ("sampler.n_steps_sweep", [2 ** 62]),
+        pytest.param(("experiment", "sampler.n_steps_sweep"), ("convergence", [2 ** 62]),
+                     id="sampler.n_steps_sweep-value24"),
         # experiment options far above the limits, and a single sample per
         # condition, which has no diversity score
         (("experiment", "sampler.n_steps_sweep", "options.samples_per_condition"),
@@ -184,6 +196,46 @@ class TestConfigValidation:
         assert f"unknown keys ['{path[-1]}']" in capsys.readouterr().err
         assert not out.exists()
 
+    # a key the experiment does not read, which would otherwise be ignored
+    @pytest.mark.parametrize("experiment,path,value", [
+        ("drift-check", ("options", "weights"), [0.3]),
+        ("drift-check", ("sampler", "n_steps_sweep"), [4]),
+        ("sample", ("problem", "x0"), [0.0, 0.0]),
+        ("sample", ("options", "n_points"), 5),
+        ("sample", ("sampler", "n_steps_sweep"), [4]),
+        ("roundtrip", ("sampler", "n_steps_sweep"), [4]),
+        ("marginals", ("problem", "bias"), 0.1),
+    ])
+    def test_unread_key_exits_2_without_output(self, tmp_path, capsys, experiment, path, value):
+        cfg = base_config(experiment=experiment)
+        cfg.setdefault(path[0], {})[path[1]] = value
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown keys ['{path[1]}']" in err and f"experiment '{experiment}'" in err
+        assert not out.exists()
+
+    # eta indexes the dbim1 family only, so a nonzero eta with another method
+    # would be echoed into the report and CSV rows without being used
+    @pytest.mark.parametrize("experiment", ["sample", "convergence", "diversity"])
+    def test_non_dbim1_eta_exits_2_without_output(self, tmp_path, capsys, experiment):
+        cfg = experiment_config(experiment, sampler={"method": "dbim3", "eta": 0.5})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "dbim1 only" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_omitted_options_take_the_table_defaults(self, experiment):
+        from bridgekit.cli import _EXPERIMENTS
+
+        defaults = _EXPERIMENTS[experiment].options
+        short = load_config(experiment_config(experiment))
+        spelled = load_config(experiment_config(experiment, options=json.loads(json.dumps(defaults))))
+        assert set(short.options) == set(defaults)
+        assert short.options == spelled.options
+
     def test_grid_t_max_rejected(self):
         # the grid always ends at schedule.horizon, so even t_max at the
         # horizon is an unknown key (test_grid_must_end_at_horizon has 0.5)
@@ -227,7 +279,7 @@ class TestConfigValidation:
         too_many = base_config(n_trajectories=at_limit + 1)
         too_deep = base_config()
         too_deep["grid"]["n_steps"] = MAX_STEPS + 1
-        sweep_too_deep = base_config()
+        sweep_too_deep = base_config(experiment="convergence")
         sweep_too_deep["sampler"]["n_steps_sweep"] = [4, MAX_STEPS + 1]
         for cfg in (too_many, too_deep, sweep_too_deep):
             with pytest.raises(ConfigInvalid, match="at most"):
@@ -236,9 +288,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key", ["n_points", "n_conditions", "samples_per_condition"])
     def test_option_count_limits(self, key):
         at_limit = MAX_BATCH_ENTRIES // 2  # the problem has d = 2
-        assert load_config(base_config(options={key: at_limit})).options[key] == at_limit
+        experiment = "drift-check" if key == "n_points" else "diversity"
+        assert load_config(experiment_config(experiment, options={key: at_limit})).options[key] == at_limit
         with pytest.raises(ConfigInvalid, match="at most"):
-            load_config(base_config(options={key: at_limit + 1}))
+            load_config(experiment_config(experiment, options={key: at_limit + 1}))
 
     @pytest.mark.parametrize("key,value", [("schedule", "kind"), ("grid", 5), ("output", 5)])
     def test_ill_shaped_section_or_output_rejected(self, key, value):
@@ -335,7 +388,8 @@ class TestConfigFuzz:
 def _small_options_config(experiment, options):
     cfg = _small_sample_config({"kind": "brownian_bridge", "beta": 1.0, "horizon": 1.0})
     cfg["experiment"] = experiment
-    cfg["sampler"]["n_steps_sweep"] = [4]
+    if experiment == "diversity":
+        cfg["sampler"]["n_steps_sweep"] = [4]
     cfg["options"] = options
     return cfg
 
@@ -386,11 +440,13 @@ class TestReport:
             return predict(self, x, t, xT)
 
         monkeypatch.setattr(GaussianOracle, "predict", spy)
-        raw = base_config(experiment=experiment, n_trajectories=4, options={
-            "n_points": 5, "n_conditions": 2, "samples_per_condition": 3, "weights": [0.0, 0.5, 1.0],
-        })
+        options = {
+            "drift-check": {"n_points": 5},
+            "interpolate": {"weights": [0.0, 0.5, 1.0]},
+            "diversity": {"n_conditions": 2, "samples_per_condition": 3},
+        }.get(experiment, {})
+        raw = experiment_config(experiment, n_trajectories=4, options=options)
         raw["grid"]["n_steps"] = 6
-        raw["sampler"]["n_steps_sweep"] = [4, 8]
         assert run(load_config(raw, out_override=str(tmp_path / "o"))) == 0
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["predictor_calls"] == len(calls)
@@ -518,22 +574,6 @@ class TestDeterminism:
             assert json.loads((out / "report.json").read_text())["resolved"]["threads"] == 1
             csvs.append((out / "sample.csv").read_bytes())
         assert csvs[1:] == csvs[:1] * 2
-
-    @pytest.mark.parametrize("experiment", ["convergence", "diversity"])
-    def test_ignored_eta_warns_once(self, tmp_path, experiment):
-        cfg = base_config(experiment=experiment, n_trajectories=4,
-                          options={"n_conditions": 2, "samples_per_condition": 3})
-        cfg["sampler"] = {"method": "dbim3", "eta": 0.5, "n_steps_sweep": [4, 8]}
-        p = write_config(tmp_path, cfg)
-        proc = subprocess.run(
-            [sys.executable, "-m", "bridgekit.cli", "run", "--config", str(p),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0
-        warned = [line for line in proc.stderr.splitlines() if "is ignored" in line]
-        assert len(warned) == 1
-        assert "cli.py" in warned[0]
 
     def test_console_entry_point(self, tmp_path):
         p = write_config(tmp_path, base_config(n_trajectories=5))

@@ -4,7 +4,7 @@ import json
 import re
 from pathlib import Path
 
-from bridgekit.cli import load_config
+from bridgekit.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,5 +22,16 @@ def test_config_format_example_loads(tmp_path):
     section = README.read_text(encoding="utf-8").split("### Config format", 1)[1]
     block = re.search(r"```json\n(.*?)```", section, re.DOTALL)
     assert block is not None, "no json block under 'Config format'"
-    cfg = load_config(json.loads(block.group(1)), out_override=str(tmp_path / "out"))
-    assert (cfg.experiment, cfg.grid.t_max) == ("sample", cfg.schedule.horizon)
+    raw = json.loads(block.group(1))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    lines = (out / "sample.csv").read_text().splitlines()
+    assert lines[0] == ",".join(["traj_id"] + [f"coord_{i}" for i in range(len(raw["problem"]["x_T"]))])
+    assert len(lines) == 1 + raw["n_trajectories"]
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"] == raw
+    assert report["resolved"]["experiment"] == "sample"
+    assert report["resolved"]["n_steps"] == raw["grid"]["n_steps"]
+    assert report["predictor_calls"] == raw["grid"]["n_steps"]

@@ -193,14 +193,12 @@ class TestRunDbim1:
         for (ta, xa), (tb, xb) in zip(a.states, b.states):
             assert ta == tb and np.array_equal(xa, xb)
 
-    def test_eta_warning_for_non_dbim1(self):
-        with pytest.warns(UserWarning):
-            SamplerConfig(Method.DBIM2, grid_of(4), seed=0, eta=0.5)
-
-    def test_eta_warning_names_the_caller(self):
-        with pytest.warns(UserWarning, match="is ignored") as record:
-            SamplerConfig(Method.DBIM3, grid_of(4), seed=0, eta=0.5)
-        assert record[0].filename == __file__
+    @pytest.mark.parametrize("method", [m for m in Method if m is not Method.DBIM1], ids=lambda m: m.value)
+    def test_eta_rejected_for_non_dbim1(self, method):
+        # eta indexes the dbim1 family only; 0 stays valid for every method
+        SamplerConfig(method, grid_of(4), seed=0, eta=0.0)
+        with pytest.raises(InvalidGridParams, match="dbim1 only"):
+            SamplerConfig(method, grid_of(4), seed=0, eta=0.5)
 
     def test_order_validation(self):
         with pytest.raises(InvalidGridParams):
