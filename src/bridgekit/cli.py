@@ -5,11 +5,11 @@ Exit codes: 0 on success, 2 on configuration errors (nothing is written),
 named on stderr).  CSV bodies are byte-identical across reruns of the same
 config and seed; wall-clock information lives only in the JSON report.
 
-One table, ``_EXPERIMENTS``, says what each experiment reads beyond the
-keys every experiment shares: its options with their defaults, whether it
-needs ``sampler.n_steps_sweep``, its least ``n_trajectories``, and which of
-``problem.x0`` and ``problem.bias`` it reads.  A config that gives a key
-its experiment does not read is invalid.
+One table, ``_EXPERIMENTS``, lists every config key each experiment reads
+beyond the keys all of them read (``_SHARED``), the defaults of its options
+and its least ``n_trajectories``.  A config that gives a key its experiment
+does not read is invalid, and ``report.json``'s ``resolved`` block lists
+only the values the experiment read.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -57,21 +57,21 @@ MAX_STEPS = 10 ** 6
 
 @dataclass
 class RunConfig:
-    """Fully validated run configuration."""
+    """Fully validated run configuration; a field the experiment does not read is None."""
 
     schedule: NoiseSchedule
     problem: GaussianBridgeProblem
-    grid: TimeGrid
-    method: Method
-    eta: float
-    sweep: tuple[TimeGrid, ...]
+    grid: TimeGrid | None
+    method: Method | None
+    eta: float | None
+    sweep: tuple[TimeGrid, ...] | None
     experiment: str
     seed: int
     out_dir: Path
-    n_trajectories: int
-    x_T: np.ndarray
+    n_trajectories: int | None
+    x_T: np.ndarray | None
     x0: np.ndarray | None
-    bias: float
+    bias: float | None
     options: dict
     raw: dict
 
@@ -82,15 +82,9 @@ def _require(mapping: dict, key: str, ctx: str):
     return mapping[key]
 
 
-# the keys every config may give, at its root and in each section but the
-# schedule, whose keys depend on its kind (see _SCHEDULES); _EXPERIMENTS adds
-# the keys each experiment reads
-_ROOT_KEYS = (
-    "schedule", "problem", "grid", "sampler", "experiment", "seed", "n_trajectories", "output", "options",
-)
-_PROBLEM_KEYS = ("mix", "offset", "cov", "x_T")
-_GRID_KEYS = ("kind", "n_steps", "t_min", "boot_gap", "edm_exponent")
-_SAMPLER_KEYS = ("method", "eta")
+# the keys every experiment reads, as root keys or "section.key" paths (a schedule's keys are its kind's, see
+# _SCHEDULES); each entry of _EXPERIMENTS lists the keys and options one experiment reads beyond these
+_SHARED = ("schedule", "problem.mix", "problem.offset", "problem.cov", "experiment", "seed", "output", "options")
 
 
 def _object(spec, ctx: str, keys=None) -> dict:
@@ -128,6 +122,19 @@ def _number(value, name: str, integer: bool = False) -> float | int:
         raise ConfigInvalid(f"{name} is out of the float range") from exc
 
 
+def _choice(table: dict, value, name: str):
+    """``table[value]``; ``value`` is tested to be a string first, as a list or object is unhashable."""
+    if not isinstance(value, str) or value not in table:
+        raise ConfigInvalid(f"unknown {name} {value!r}; choose from {list(table)}")
+    return table[value]
+
+
+def _section(raw: dict, name: str, reads: tuple[str, ...], ctx: str) -> dict:
+    """``raw[name]``, empty when absent, with no key but those ``reads`` lists as ``name.key``."""
+    keys = tuple(path[len(name) + 1:] for path in reads if path.startswith(name + "."))
+    return _object(raw.get(name, {}), f"{name} of {ctx}", keys)
+
+
 def _array(spec: dict, key: str, ctx: str) -> np.ndarray:
     """``spec[key]``, a number or a (nested) list of numbers, as a float array."""
     value = _require(spec, key, ctx)
@@ -140,6 +147,16 @@ def _array(spec: dict, key: str, ctx: str) -> np.ndarray:
     return arr.astype(float)
 
 
+def _vector(spec: dict, key: str, dim: int) -> np.ndarray:
+    """``problem.<key>``, a finite point of dimension ``dim``."""
+    value = _array(spec, key, "problem")
+    if value.shape != (dim,):
+        raise ConfigInvalid(f"{key} shape {value.shape} != ({dim},)")
+    if not np.all(np.isfinite(value)):
+        raise ConfigInvalid(f"{key} has non-finite entries")
+    return value
+
+
 # schedule kind -> (constructor, the keys it takes besides kind and horizon);
 # a key the config omits takes the constructor's default
 _SCHEDULES = {
@@ -150,24 +167,13 @@ _SCHEDULES = {
 
 
 def _build_schedule(spec) -> NoiseSchedule:
-    kind = _require(_object(spec, "schedule"), "kind", "schedule")
-    if not isinstance(kind, str) or kind not in _SCHEDULES:
-        raise ConfigInvalid(f"unknown schedule kind '{kind}'")
-    build, keys = _SCHEDULES[kind]
+    build, keys = _choice(_SCHEDULES, _require(_object(spec, "schedule"), "kind", "schedule"), "schedule kind")
     _object(spec, "schedule", ("kind", "horizon", *keys))
     params = {key: _number(value, f"schedule.{key}") for key, value in spec.items() if key != "kind"}
     try:
         return build(**params)
     except BridgekitError as exc:
         raise ConfigInvalid(f"schedule: {exc}") from exc
-
-
-def _steps(value, name: str) -> int:
-    """``value`` as a step count of at most MAX_STEPS (the lower bound is make_grid's)."""
-    n = _number(value, name, integer=True)
-    if n > MAX_STEPS:
-        raise ConfigInvalid(f"{name} must be at most {MAX_STEPS}, got {n}")
-    return n
 
 
 def _rows(value, name: str, dim: int, least: int = 1) -> int:
@@ -182,20 +188,28 @@ def _rows(value, name: str, dim: int, least: int = 1) -> int:
     return n
 
 
+# grid kind -> (make_grid's kind, the keys it takes besides kind and n_steps); an omitted key takes its default
+_GRIDS = {
+    "uniform_boot": (GridKind.UNIFORM_WITH_BOOT_STEP, ("t_min", "boot_gap")),
+    "edm_power": (GridKind.EDM_POWER, ("t_min", "edm_exponent")),
+}
+# the grid section's keys but n_steps: those of every kind
+_GRID_SHAPE = ("grid.kind", "grid.t_min", "grid.boot_gap", "grid.edm_exponent")
+
+
 def _build_grid(spec: dict, sched: NoiseSchedule, n_steps, name: str) -> TimeGrid:
     """The grid section ``spec`` with ``n_steps`` steps, read as the field ``name``.
 
     The grid ends at the schedule's horizon; omitted keys take make_grid's
-    defaults.
+    defaults.  ``n_steps`` may be at most MAX_STEPS (the lower bound is
+    make_grid's).
     """
-    kind_name = spec.get("kind", "uniform_boot")
-    try:
-        kind = GridKind(kind_name)
-    except ValueError as exc:
-        raise ConfigInvalid(f"unknown grid kind '{kind_name}'") from exc
-
-    n_steps = _steps(n_steps, name)
-    params = {key: _number(value, f"grid.{key}") for key, value in spec.items() if key not in ("kind", "n_steps")}
+    kind, keys = _choice(_GRIDS, spec.get("kind", "uniform_boot"), "grid kind")
+    _object(spec, f"grid of kind '{kind.value}'", ("kind", "n_steps", *keys))
+    n_steps = _number(n_steps, name, integer=True)
+    if n_steps > MAX_STEPS:
+        raise ConfigInvalid(f"{name} must be at most {MAX_STEPS}, got {n_steps}")
+    params = {key: _number(spec[key], f"grid.{key}") for key in keys if key in spec}
     try:
         grid = make_grid(kind, n_steps, t_max=sched.horizon, **params)
         # the samplers' coefficient table: building it evaluates (and
@@ -209,57 +223,38 @@ def _build_grid(spec: dict, sched: NoiseSchedule, n_steps, name: str) -> TimeGri
 def load_config(raw: dict, out_override: str | None = None, seed_override: int | None = None) -> RunConfig:
     """Validate a raw JSON document into a RunConfig.
 
-    The experiment is read first: its entry in ``_EXPERIMENTS`` gives the
-    keys that ``problem``, ``sampler`` and ``options`` may hold besides the
-    shared ones, and the defaults of the options it reads.  Every referenced
-    object is constructed (and therefore validated) here, before any output
-    file is created.
+    The experiment is read first: ``_SHARED`` and its ``_EXPERIMENTS``
+    entry list every key the config may give, and ``x_T``, ``grid.n_steps``,
+    ``sampler.method`` and ``n_steps_sweep`` are required where read.  Every
+    referenced object is constructed (and therefore validated) here, before
+    any output file is created.
     """
-    _object(raw, "config root", _ROOT_KEYS)
-    experiment = _require(raw, "experiment", "config")
-    # a list or object is unhashable, so the type is tested before the lookup
-    if not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
-        raise ConfigInvalid(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
-    entry = _EXPERIMENTS[experiment]
+    experiment = _require(_object(raw, "config root"), "experiment", "config")
+    entry = _choice(_EXPERIMENTS, experiment, "experiment")
     ctx = f"experiment '{experiment}'"
+    reads = _SHARED + entry.reads
+    _object(raw, f"config root of {ctx}", tuple(dict.fromkeys(path.split(".")[0] for path in reads)))
     sched = _build_schedule(_require(raw, "schedule", "config"))
 
-    pspec = _object(_require(raw, "problem", "config"), f"problem of {ctx}", _PROBLEM_KEYS + entry.problem)
+    pspec, gspec, sspec = (_section(raw, name, reads, ctx) for name in ("problem", "grid", "sampler"))
     try:
-        problem = GaussianBridgeProblem(
-            mix=_array(pspec, "mix", "problem"),
-            offset=_array(pspec, "offset", "problem"),
-            cov=_array(pspec, "cov", "problem"),
-        )
+        problem = GaussianBridgeProblem(**{key: _array(pspec, key, "problem") for key in ("mix", "offset", "cov")})
     except BridgekitError as exc:
         raise ConfigInvalid(f"problem: {exc}") from exc
-    x_T = _array(pspec, "x_T", "problem")
-    if x_T.shape != (problem.dim,):
-        raise ConfigInvalid(f"x_T shape {x_T.shape} != ({problem.dim},)")
-    if not np.all(np.isfinite(x_T)):
-        raise ConfigInvalid("x_T has non-finite entries")
-    x0 = None
-    if "x0" in pspec:
-        x0 = _array(pspec, "x0", "problem")
-        if x0.shape != (problem.dim,):
-            raise ConfigInvalid(f"x0 shape {x0.shape} != ({problem.dim},)")
-        if not np.all(np.isfinite(x0)):
-            raise ConfigInvalid("x0 has non-finite entries")
-    bias = _number(pspec.get("bias", 0.0), "problem.bias")
+    x_T = _vector(pspec, "x_T", problem.dim) if "problem.x_T" in reads else None
+    x0 = _vector(pspec, "x0", problem.dim) if "x0" in pspec else None
+    bias = _number(pspec.get("bias", 0.0), "problem.bias") if "problem.bias" in reads else None
 
-    gspec = _object(_require(raw, "grid", "config"), "grid", _GRID_KEYS)
-    grid = _build_grid(gspec, sched, _require(gspec, "n_steps", "grid"), "grid.n_steps")
+    grid = None
+    if "grid.n_steps" in reads:
+        grid = _build_grid(gspec, sched, _require(gspec, "n_steps", "grid"), "grid.n_steps")
 
-    sweep_keys = ("n_steps_sweep",) if entry.sweep else ()
-    sspec = _object(_require(raw, "sampler", "config"), f"sampler of {ctx}", _SAMPLER_KEYS + sweep_keys)
-    method_name = _require(sspec, "method", "sampler")
-    try:
-        method = Method(method_name)
-    except ValueError as exc:
-        raise ConfigInvalid(f"unknown sampler method '{method_name}'") from exc
-    eta = _number(sspec.get("eta", 0.0), "sampler.eta")
-    sweep = ()
-    if entry.sweep:
+    method = None
+    if "sampler.method" in reads:
+        method = _choice({m.value: m for m in Method}, _require(sspec, "method", "sampler"), "sampler method")
+    eta = _number(sspec.get("eta", 0.0), "sampler.eta") if "sampler.eta" in reads else None
+    sweep = None
+    if "sampler.n_steps_sweep" in reads:
         entries = sspec.get("n_steps_sweep")
         if not isinstance(entries, list) or not entries:
             raise ConfigInvalid(f"{ctx} requires sampler.n_steps_sweep, a non-empty list; got {entries!r}")
@@ -268,10 +263,10 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     seed = _number(raw.get("seed", 0) if seed_override is None else seed_override, "seed", integer=True)
     if not 0 <= seed < 2 ** 64:
         raise ConfigInvalid(f"seed must fit in 64 bits, got {seed}")
-    # construct the sampler configs now so their validation also runs up front
-    for run_grid in (grid, *sweep):
+    # construct the sampler configs now so their validation also runs up front (dbim1 where no method is read)
+    for run_grid in (grid,) if grid is not None else sweep or ():
         try:
-            SamplerConfig(method, run_grid, seed, eta)
+            SamplerConfig(method or Method.DBIM1, run_grid, seed, eta or 0.0)
         except BridgekitError as exc:
             raise ConfigInvalid(f"sampler: {exc}") from exc
 
@@ -284,7 +279,9 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     existing = next((p for p in (out_dir, *out_dir.parents) if os.path.lexists(p)), None)
     if existing is not None and not existing.is_dir():
         raise ConfigInvalid(f"output {output!r}: {str(existing)!r} exists and is not a directory")
-    n_traj = _rows(raw.get("n_trajectories", 100), "n_trajectories", problem.dim, entry.least_rows)
+    n_traj = None
+    if "n_trajectories" in reads:
+        n_traj = _rows(raw.get("n_trajectories", 100), "n_trajectories", problem.dim, entry.least_rows)
     given = _object(raw.get("options", {}), f"options of {ctx}", tuple(entry.options))
     options = _typed_options({**entry.options, **given}, problem.dim)
 
@@ -336,7 +333,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _predictor(cfg: RunConfig):
     base = GaussianOracle(cfg.problem, cfg.schedule)
-    if cfg.bias != 0.0:
+    if cfg.bias:
         return PerturbedOracle(base, cfg.bias, seed=cfg.seed)
     return base
 
@@ -491,29 +488,35 @@ def _exp_diversity(cfg: RunConfig, predictor):
 
 @dataclass(frozen=True)
 class _Experiment:
-    """What one experiment reads beyond the keys every experiment shares.
+    """What one experiment reads beyond the keys every experiment reads (``_SHARED``).
 
-    ``options`` maps each option it reads to its default, in config form;
-    ``problem`` names the optional problem keys (``x0``, ``bias``) it reads.
+    ``reads`` lists its keys, as root keys or ``section.key`` paths;
+    ``options`` maps each option it reads to its default, in config form.
     """
 
     runner: Callable
-    options: dict
-    sweep: bool = False  # reads sampler.n_steps_sweep, which it requires
+    reads: tuple[str, ...]
+    options: dict = field(default_factory=dict)
     least_rows: int = 1  # least n_trajectories
-    problem: tuple[str, ...] = ("bias",)
 
 
-# every experiment but marginals calls the predictor, so reads bias; the
-# sample and marginals metrics are sample variances, which need two rows
+# marginals runs the dbim1 chain with the true x0, so reads no method and
+# calls no predictor; the sample and marginals metrics need two rows
 _EXPERIMENTS = {
-    "sample": _Experiment(_exp_sample, {}, least_rows=2),
-    "marginals": _Experiment(_exp_marginals, {}, least_rows=2, problem=("x0",)),
-    "drift-check": _Experiment(_exp_drift_check, {"n_points": 1000, "t_range": [0.01, 0.99]}),
-    "convergence": _Experiment(_exp_convergence, {}, sweep=True),
-    "roundtrip": _Experiment(_exp_roundtrip, {}),
-    "interpolate": _Experiment(_exp_interpolate, {"weights": [0.0, 0.25, 0.5, 0.75, 1.0]}),
-    "diversity": _Experiment(_exp_diversity, {"n_conditions": 8, "samples_per_condition": 5}, sweep=True),
+    "sample": _Experiment(_exp_sample, (*_GRID_SHAPE, "grid.n_steps", "sampler.method", "sampler.eta",
+                                        "n_trajectories", "problem.x_T", "problem.bias"), least_rows=2),
+    "marginals": _Experiment(_exp_marginals, (*_GRID_SHAPE, "grid.n_steps", "sampler.eta", "n_trajectories",
+                                              "problem.x_T", "problem.x0"), least_rows=2),
+    "drift-check": _Experiment(_exp_drift_check, ("problem.bias",), {"n_points": 1000, "t_range": [0.01, 0.99]}),
+    "convergence": _Experiment(_exp_convergence, (*_GRID_SHAPE, "sampler.method", "sampler.eta",
+                                                  "sampler.n_steps_sweep", "problem.x_T", "problem.bias")),
+    "roundtrip": _Experiment(_exp_roundtrip, (*_GRID_SHAPE, "grid.n_steps", "n_trajectories", "problem.x_T",
+                                              "problem.bias")),
+    "interpolate": _Experiment(_exp_interpolate, (*_GRID_SHAPE, "grid.n_steps", "problem.x_T", "problem.bias"),
+                               {"weights": [0.0, 0.25, 0.5, 0.75, 1.0]}),
+    "diversity": _Experiment(_exp_diversity, (*_GRID_SHAPE, "sampler.method", "sampler.eta",
+                                              "sampler.n_steps_sweep", "problem.bias"),
+                             {"n_conditions": 8, "samples_per_condition": 5}),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
@@ -523,8 +526,8 @@ def run(cfg: RunConfig) -> int:
 
     The report's ``predictor_calls`` is the number of ``predict`` calls the
     experiment made, counted in one place around its predictor; a batched
-    call counts once.  ``resolved.threads`` is 1: the engine runs on the
-    calling thread.
+    call counts once.  ``resolved.threads`` is 1, as the engine runs on the
+    calling thread; its method, eta, count and grid keys appear where read.
     """
     start = time.perf_counter()
     predictor = _CountingPredictor(_predictor(cfg))
@@ -538,20 +541,21 @@ def run(cfg: RunConfig) -> int:
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(cfg.out_dir / csv_name, header, rows)
+    read = {
+        "method": cfg.method.value if cfg.method else None,
+        "eta": cfg.eta,
+        "n_trajectories": cfg.n_trajectories,
+        "grid_times_first_last": [cfg.grid.times[0], cfg.grid.times[-1]] if cfg.grid else None,
+        "n_steps": cfg.grid.n_steps if cfg.grid else None,
+    }
     report = {
         "config": cfg.raw,
         "metrics": metrics,
         "wall_time_s": time.perf_counter() - start,
         "predictor_calls": predictor.calls,
         "resolved": {
-            "experiment": cfg.experiment,
-            "method": cfg.method.value,
-            "eta": cfg.eta,
-            "seed": cfg.seed,
-            "n_trajectories": cfg.n_trajectories,
-            "grid_times_first_last": [cfg.grid.times[0], cfg.grid.times[-1]],
-            "n_steps": cfg.grid.n_steps,
-            "threads": 1,
+            "experiment": cfg.experiment, "seed": cfg.seed, "threads": 1,
+            **{key: value for key, value in read.items() if value is not None},
         },
         "version": __version__,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),

@@ -248,10 +248,6 @@ class TimeGrid:
     """Strictly increasing times t_0 < … < t_N with t_0 = t_min and t_N = t_max."""
 
     times: tuple[float, ...]
-    kind: GridKind
-    t_min: float
-    boot_gap: float = 1e-4
-    edm_exponent: float = 7.0
 
     @property
     def n_steps(self) -> int:
@@ -260,9 +256,6 @@ class TimeGrid:
     @property
     def t_max(self) -> float:
         return self.times[-1]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.times, dtype=float)
 
 
 def make_grid(
@@ -319,4 +312,4 @@ def make_grid(
     arr = np.asarray(times)
     if not np.all(np.diff(arr) > 0.0):
         raise InvalidGridParams("grid times are not strictly increasing")
-    return TimeGrid(times=times, kind=kind, t_min=float(t_min), boot_gap=float(boot_gap), edm_exponent=float(edm_exponent))
+    return TimeGrid(times)

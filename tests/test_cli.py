@@ -1,5 +1,6 @@
 """CLI harness: config validation, experiment outputs, determinism, selftest."""
 
+import copy
 import csv
 import inspect
 import json
@@ -17,12 +18,13 @@ from hypothesis import strategies as st
 
 import bridgekit.schedule
 from bridgekit import fit_order
-from bridgekit.cli import EXPERIMENTS, MAX_BATCH_ENTRIES, load_config, main, run, selftest
+from bridgekit.cli import _EXPERIMENTS, EXPERIMENTS, MAX_BATCH_ENTRIES, load_config, main, run, selftest
 from bridgekit.errors import ConfigInvalid
 from bridgekit.oracle import GaussianOracle
 
 
 def base_config(**overrides):
+    """A ``sample`` config, which reads every key in it."""
     cfg = {
         "schedule": {"kind": "brownian_bridge", "beta": 1.0, "horizon": 1.0},
         "problem": {
@@ -41,12 +43,34 @@ def base_config(**overrides):
     return cfg
 
 
+# the keys of base_config each experiment does not read, as root keys or
+# "section.key" paths; spelt out here rather than taken from the table the
+# tests check
+UNREAD = {
+    "sample": (),
+    "marginals": ("sampler.method",),
+    "drift-check": ("grid", "sampler", "n_trajectories", "problem.x_T"),
+    "convergence": ("grid.n_steps", "n_trajectories"),
+    "roundtrip": ("sampler",),
+    "interpolate": ("sampler", "n_trajectories"),
+    "diversity": ("grid.n_steps", "n_trajectories", "problem.x_T"),
+}
+
+
 def experiment_config(experiment, **overrides):
-    """base_config for ``experiment``, with a step sweep for the two that read one."""
-    cfg = base_config(experiment=experiment, **overrides)
+    """base_config for ``experiment`` with only the keys it reads, and a step sweep for the two that read one."""
+    cfg = base_config(experiment=experiment)
+    for path in UNREAD[experiment]:
+        section, _, key = path.partition(".")
+        del (cfg[section] if key else cfg)[key or section]
+    cfg.update(overrides)
     if experiment in ("convergence", "diversity"):
-        cfg["sampler"]["n_steps_sweep"] = [4, 8]
+        cfg["sampler"].setdefault("n_steps_sweep", [4, 8])
     return cfg
+
+
+# grid kind -> (the key it alone takes, the other kind's)
+GRID_KEYS = {"uniform_boot": ("boot_gap", "edm_exponent"), "edm_power": ("edm_exponent", "boot_gap")}
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -83,8 +107,10 @@ class TestConfigValidation:
             load_config(cfg)
 
     def test_sweep_required_for_convergence(self):
-        with pytest.raises(ConfigInvalid):
-            load_config(base_config(experiment="convergence"))
+        cfg = experiment_config("convergence")
+        del cfg["sampler"]["n_steps_sweep"]
+        with pytest.raises(ConfigInvalid, match="requires sampler.n_steps_sweep"):
+            load_config(cfg)
 
     def test_seed_override(self):
         cfg = load_config(base_config(), seed_override=7)
@@ -103,14 +129,15 @@ class TestConfigValidation:
             load_config(cfg)
 
     def test_sweep_entries_validated(self):
-        cfg = base_config(experiment="convergence")
+        cfg = experiment_config("convergence")
         cfg["sampler"]["n_steps_sweep"] = [8, 0]
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigInvalid, match="n_steps_sweep entry = 0"):
             load_config(cfg)
 
     # (config key, value); a top-level key is set at the root, "section.key"
     # in that section and any other key in "problem"; json writes nan/inf as
-    # NaN and Infinity, which json.load reads back
+    # NaN and Infinity, which json.load reads back.  "experiment" picks the
+    # experiment_config the other keys are set in (sample by default)
     @pytest.mark.parametrize("key,value", [
         ("cov", [[1.0, 0.0], [0.0, math.nan]]),
         ("mix", [[math.nan, 0.0], [0.1, 0.3]]),
@@ -165,9 +192,10 @@ class TestConfigValidation:
         (("experiment", "options.n_point"), ("drift-check", 5)),
     ])
     def test_invalid_input_exits_2_without_output(self, tmp_path, key, value):
-        cfg = base_config()
         # a tuple of keys sets each key to the matching entry of the value tuple
-        for key, value in zip(key, value) if isinstance(key, tuple) else [(key, value)]:
+        pairs = dict(zip(key, value)) if isinstance(key, tuple) else {key: value}
+        cfg = experiment_config(pairs.pop("experiment", "sample"))
+        for key, value in pairs.items():
             if key in cfg:
                 cfg[key] = value
             elif key is not None and "." in key:
@@ -196,7 +224,10 @@ class TestConfigValidation:
         assert f"unknown keys ['{path[-1]}']" in capsys.readouterr().err
         assert not out.exists()
 
-    # a key the experiment does not read, which would otherwise be ignored
+    # a key the experiment does not read, which would otherwise be ignored;
+    # where the experiment reads nothing in the key's section, the section
+    # is the key named.  The last case holds an eta marginals reads and a
+    # method it does not, with which that eta would be invalid
     @pytest.mark.parametrize("experiment,path,value", [
         ("drift-check", ("options", "weights"), [0.3]),
         ("drift-check", ("sampler", "n_steps_sweep"), [4]),
@@ -205,14 +236,16 @@ class TestConfigValidation:
         ("sample", ("sampler", "n_steps_sweep"), [4]),
         ("roundtrip", ("sampler", "n_steps_sweep"), [4]),
         ("marginals", ("problem", "bias"), 0.1),
+        ("marginals", ("sampler", "method"), "dbim3"),
     ])
     def test_unread_key_exits_2_without_output(self, tmp_path, capsys, experiment, path, value):
-        cfg = base_config(experiment=experiment)
+        cfg = experiment_config(experiment, options={})
+        named = path[1] if path[0] in cfg else path[0]
         cfg.setdefault(path[0], {})[path[1]] = value
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"unknown keys ['{path[1]}']" in err and f"experiment '{experiment}'" in err
+        assert f"unknown keys ['{named}']" in err and f"experiment '{experiment}'" in err
         assert not out.exists()
 
     # eta indexes the dbim1 family only, so a nonzero eta with another method
@@ -228,8 +261,6 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_omitted_options_take_the_table_defaults(self, experiment):
-        from bridgekit.cli import _EXPERIMENTS
-
         defaults = _EXPERIMENTS[experiment].options
         short = load_config(experiment_config(experiment))
         spelled = load_config(experiment_config(experiment, options=json.loads(json.dumps(defaults))))
@@ -255,17 +286,29 @@ class TestConfigValidation:
         spelled = base_config(
             schedule={"kind": kind, **defaults(getattr(bridgekit.schedule.NoiseSchedule, kind), ())},
             grid={"kind": grid_kind.value, "n_steps": 10,
-                  **defaults(bridgekit.schedule.make_grid, ("t_max",))},
+                  **defaults(bridgekit.schedule.make_grid, ("t_max", GRID_KEYS[grid_kind.value][1]))},
         )
         assert set(spelled["schedule"]) > {"kind", "horizon"}
-        assert set(spelled["grid"]) == {"kind", "n_steps", "t_min", "boot_gap", "edm_exponent"}
+        assert set(spelled["grid"]) == {"kind", "n_steps", "t_min", GRID_KEYS[grid_kind.value][0]}
         a, b = load_config(short), load_config(spelled)
         assert (a.schedule, a.grid) == (b.schedule, b.grid)
+
+    @pytest.mark.parametrize("grid_kind", list(bridgekit.schedule.GridKind), ids=lambda k: k.value)
+    def test_grid_key_of_the_other_kind_exits_2(self, tmp_path, capsys, grid_kind):
+        own, other = GRID_KEYS[grid_kind.value]
+        cfg = base_config(grid={"kind": grid_kind.value, "n_steps": 10, own: 0.01})
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "a")]) == 0
+        cfg["grid"][other] = 2.0
+        out = tmp_path / "b"
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown keys ['{other}'] in grid of kind '{grid_kind.value}'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment,code", [("sample", 2), ("marginals", 2), ("roundtrip", 0)])
     def test_single_trajectory(self, tmp_path, experiment, code):
         # sample and marginals report sample variances, which need two rows
-        cfg = base_config(experiment=experiment, n_trajectories=1)
+        cfg = experiment_config(experiment, n_trajectories=1)
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == code
         assert out.exists() == (code == 0)
@@ -279,7 +322,7 @@ class TestConfigValidation:
         too_many = base_config(n_trajectories=at_limit + 1)
         too_deep = base_config()
         too_deep["grid"]["n_steps"] = MAX_STEPS + 1
-        sweep_too_deep = base_config(experiment="convergence")
+        sweep_too_deep = experiment_config("convergence")
         sweep_too_deep["sampler"]["n_steps_sweep"] = [4, MAX_STEPS + 1]
         for cfg in (too_many, too_deep, sweep_too_deep):
             with pytest.raises(ConfigInvalid, match="at most"):
@@ -386,11 +429,11 @@ class TestConfigFuzz:
 
 
 def _small_options_config(experiment, options):
-    cfg = _small_sample_config({"kind": "brownian_bridge", "beta": 1.0, "horizon": 1.0})
-    cfg["experiment"] = experiment
-    if experiment == "diversity":
+    # drift-check reads no grid or sampler, so its base has neither: a key
+    # there would exit 2 before any option is read
+    cfg = experiment_config(experiment, options=options)
+    if "sampler" in cfg:
         cfg["sampler"]["n_steps_sweep"] = [4]
-    cfg["options"] = options
     return cfg
 
 
@@ -398,7 +441,8 @@ _OPTIONS_FUZZ_BASES = (
     _small_options_config("diversity", {"n_conditions": 2, "samples_per_condition": 3}),
     _small_options_config("drift-check", {"n_points": 5, "t_range": [0.1, 0.9]}),
 )
-# the options section, every option of either base, and the step sweep
+# the options section, every option of either base, and the step sweep (a
+# section drift-check does not read, so it exits 2 there)
 _OPTIONS_FUZZ_PATHS = (("options",), ("sampler", "n_steps_sweep")) + tuple(sorted({
     ("options", name) for cfg in _OPTIONS_FUZZ_BASES for name in cfg["options"]
 }))
@@ -416,7 +460,7 @@ class TestOptionsFuzz:
         cfg = json.loads(json.dumps(base))
         owner = cfg
         for key in path[:-1]:
-            owner = owner[key]
+            owner = owner.setdefault(key, {})
         owner[path[-1]] = value
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "cfg.json"
@@ -428,7 +472,126 @@ class TestOptionsFuzz:
                 assert not out.exists()
 
 
+TINY_OPTIONS = {
+    "drift-check": {"n_points": 3, "t_range": [0.1, 0.9]},
+    "interpolate": {"weights": [0.0, 0.5]},
+    "diversity": {"n_conditions": 2, "samples_per_condition": 2},
+}
+
+
+def tiny_config(experiment):
+    """experiment_config at the smallest sizes: 3 rows, 4 steps, a one-grid sweep, a few option rows."""
+    cfg = experiment_config(experiment, options=copy.deepcopy(TINY_OPTIONS.get(experiment, {})))
+    for path, value in (("n_trajectories", 3), ("grid.n_steps", 4), ("sampler.n_steps_sweep", [4])):
+        section, _, key = path.rpartition(".")
+        owner = cfg.get(section, {}) if section else cfg
+        if key in owner:
+            owner[key] = value
+    return cfg
+
+
+def set_key(cfg, path, value):
+    """Set the root key or "section.key" ``path`` of ``cfg`` to ``value``, or remove it for None."""
+    section, _, key = path.rpartition(".")
+    owner = cfg.setdefault(section, {}) if section else cfg
+    if value is None:
+        owner.pop(key, None)
+    else:
+        owner[key] = value
+
+
+# for every key some experiment reads: two values that give different CSV
+# bytes wherever it is read (None leaves the key out), and the keys the pair
+# needs set alongside
+PAIRS = {
+    "grid.kind": ("uniform_boot", "edm_power", {}),
+    "grid.t_min": (None, 1e-3, {}),
+    "grid.boot_gap": (1e-3, 1e-2, {}),
+    "grid.edm_exponent": (7.0, 3.0, {"grid.kind": "edm_power"}),
+    "grid.n_steps": (4, 5, {}),
+    "sampler.method": ("dbim1", "dbim2", {"sampler.eta": 0.0}),
+    "sampler.eta": (0.0, 1.0, {}),
+    "sampler.n_steps_sweep": ([4], [5], {}),
+    "n_trajectories": (3, 4, {}),
+    "problem.x_T": ([1.0, -0.5], [0.5, 0.5], {}),
+    "problem.x0": (None, [0.3, 0.2], {}),
+    "problem.bias": (None, 0.01, {}),
+    "options.n_points": (3, 4, {}),
+    "options.t_range": ([0.1, 0.9], [0.2, 0.8], {}),
+    "options.weights": ([0.0, 0.5], [0.0, 0.25], {}),
+    "options.n_conditions": (2, 3, {}),
+    "options.samples_per_condition": (2, 3, {}),
+}
+# (experiment, key) for every key in each experiment's table entry, its
+# options included, and for every key only other experiments read
+READ = [
+    (e, path) for e in EXPERIMENTS
+    for path in (*_EXPERIMENTS[e].reads, *(f"options.{key}" for key in _EXPERIMENTS[e].options))
+]
+UNREAD_ELSEWHERE = [(e, p) for e in EXPERIMENTS for p in sorted({path for _, path in READ}) if (e, p) not in READ]
+
+
+class TestTable:
+    """The table in bridgekit.cli says truthfully what each experiment reads.
+
+    The problem model (mix, offset, cov) is shared by every experiment and
+    is not checked here.
+    """
+
+    @pytest.mark.parametrize("experiment,path", READ, ids=[f"{e}-{path}" for e, path in READ])
+    def test_each_key_read_changes_the_csv(self, tmp_path, experiment, path):
+        first, second, alongside = PAIRS[path]
+        csvs = []
+        for value in (first, second):
+            cfg = tiny_config(experiment)
+            for key, setting in {**alongside, path: value}.items():
+                set_key(cfg, key, setting)
+            out = tmp_path / str(len(csvs))
+            assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+            (csv_path,) = out.glob("*.csv")
+            csvs.append(csv_path.read_bytes())
+        assert csvs[0] != csvs[1]
+
+    @pytest.mark.parametrize("experiment,path", UNREAD_ELSEWHERE, ids=[f"{e}-{p}" for e, p in UNREAD_ELSEWHERE])
+    def test_key_only_another_experiment_reads_exits_2(self, tmp_path, capsys, experiment, path):
+        cfg = tiny_config(experiment)
+        # where the experiment reads nothing in the key's section, the
+        # section is the key named
+        section, _, key = path.rpartition(".")
+        named = key if not section or section in cfg else section
+        first, second, _ = PAIRS[path]
+        set_key(cfg, path, first if first is not None else second)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown keys ['{named}']" in err and f"experiment '{experiment}'" in err
+        assert not out.exists()
+
+
 class TestReport:
+    # the resolved keys of each experiment beyond experiment, seed and threads
+    RESOLVED = {
+        "sample": ("method", "eta", "n_trajectories", "n_steps", "grid_times_first_last"),
+        "marginals": ("eta", "n_trajectories", "n_steps", "grid_times_first_last"),
+        "drift-check": (),
+        "convergence": ("method", "eta"),
+        "roundtrip": ("n_trajectories", "n_steps", "grid_times_first_last"),
+        "interpolate": ("n_steps", "grid_times_first_last"),
+        "diversity": ("method", "eta"),
+    }
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_resolved_lists_only_what_the_experiment_read(self, tmp_path, experiment):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, tiny_config(experiment))
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        values = {
+            "method": "dbim1", "eta": 0.5, "n_trajectories": 3, "n_steps": 4, "grid_times_first_last": [1e-4, 1.0],
+        }
+        expected = {"experiment": experiment, "seed": 42, "threads": 1}
+        expected.update((key, values[key]) for key in self.RESOLVED[experiment])
+        assert json.loads((out / "report.json").read_text())["resolved"] == expected
+
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_predictor_calls_match_the_oracle(self, tmp_path, monkeypatch, experiment):
         # count at the class, below every wrapper the experiment may use
@@ -445,8 +608,11 @@ class TestReport:
             "interpolate": {"weights": [0.0, 0.5, 1.0]},
             "diversity": {"n_conditions": 2, "samples_per_condition": 3},
         }.get(experiment, {})
-        raw = experiment_config(experiment, n_trajectories=4, options=options)
-        raw["grid"]["n_steps"] = 6
+        raw = experiment_config(experiment, options=options)
+        if "n_trajectories" in raw:
+            raw["n_trajectories"] = 4
+        if "n_steps" in raw.get("grid", {}):
+            raw["grid"]["n_steps"] = 6
         assert run(load_config(raw, out_override=str(tmp_path / "o"))) == 0
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["predictor_calls"] == len(calls)
@@ -468,12 +634,12 @@ class TestExperiments:
         assert all(math.isfinite(v) for v in report["metrics"].values())
 
     def test_convergence_slope_matches_emitted_rows(self, tmp_path):
-        cfg_raw = base_config(experiment="convergence")
+        cfg_raw = experiment_config("convergence")
         cfg_raw["schedule"] = {"kind": "vp", "beta_min": 0.1, "beta_max": 20.0, "horizon": 1.0}
         cfg_raw["problem"] = {
             "mix": [[0.3]], "offset": [0.2], "cov": [[2.0]], "x_T": [1.5],
         }
-        cfg_raw["grid"] = {"kind": "uniform_boot", "n_steps": 8, "t_min": 0.05, "boot_gap": 0.05}
+        cfg_raw["grid"] = {"kind": "uniform_boot", "t_min": 0.05, "boot_gap": 0.05}
         cfg_raw["sampler"] = {"method": "dbim1", "eta": 0.0, "n_steps_sweep": [8, 16, 32, 64]}
         cfg = load_config(cfg_raw, out_override=str(tmp_path / "o"))
         assert run(cfg) == 0
@@ -486,7 +652,7 @@ class TestExperiments:
 
     def test_marginals_schema(self, tmp_path):
         cfg = load_config(
-            base_config(experiment="marginals", n_trajectories=2000),
+            experiment_config("marginals", n_trajectories=2000),
             out_override=str(tmp_path / "o"),
         )
         assert run(cfg) == 0
@@ -497,7 +663,7 @@ class TestExperiments:
         assert max(zs) <= 6.0
 
     def test_roundtrip_schema(self, tmp_path):
-        cfg_raw = base_config(experiment="roundtrip", n_trajectories=5)
+        cfg_raw = experiment_config("roundtrip", n_trajectories=5)
         cfg_raw["grid"]["n_steps"] = 200
         cfg = load_config(cfg_raw, out_override=str(tmp_path / "o"))
         assert run(cfg) == 0
@@ -506,7 +672,7 @@ class TestExperiments:
         assert all(float(r[1]) <= 1e-8 for r in rows)
 
     def test_interpolate_schema(self, tmp_path):
-        cfg_raw = base_config(experiment="interpolate")
+        cfg_raw = experiment_config("interpolate")
         cfg_raw["options"] = {"weights": [0.0, 0.5, 1.0]}
         cfg = load_config(cfg_raw, out_override=str(tmp_path / "o"))
         assert run(cfg) == 0
@@ -515,7 +681,7 @@ class TestExperiments:
         assert [float(r[0]) for r in rows] == [0.0, 0.5, 1.0]
 
     def test_diversity_schema(self, tmp_path):
-        cfg_raw = base_config(experiment="diversity")
+        cfg_raw = experiment_config("diversity")
         cfg_raw["sampler"]["eta"] = 0.0
         cfg_raw["sampler"]["n_steps_sweep"] = [5, 10]
         cfg_raw["options"] = {"n_conditions": 3, "samples_per_condition": 8}
@@ -526,7 +692,7 @@ class TestExperiments:
         assert len(rows) == 6
 
     def test_drift_check_schema(self, tmp_path):
-        cfg_raw = base_config(experiment="drift-check")
+        cfg_raw = experiment_config("drift-check")
         cfg_raw["options"] = {"n_points": 100}
         cfg = load_config(cfg_raw, out_override=str(tmp_path / "o"))
         assert run(cfg) == 0
@@ -586,7 +752,7 @@ class TestDeterminism:
 
     def test_numerical_failure_exits_3(self, tmp_path):
         # a heavily biased predictor makes every encode input inconsistent
-        cfg_raw = base_config(experiment="roundtrip", n_trajectories=2)
+        cfg_raw = experiment_config("roundtrip", n_trajectories=2)
         cfg_raw["problem"]["bias"] = 5.0
         cfg_raw["grid"]["n_steps"] = 50
         p = write_config(tmp_path, cfg_raw)

@@ -40,7 +40,12 @@ PROBLEM_D16 = {
     "x_T": [0.5 * (-1) ** i + 0.03 * i for i in range(16)],
 }
 
-# (name, sampler section, n_trajectories, experiment, extra keys)
+# the problem and grid of the experiments that read no x_T or no grid.n_steps
+PROBLEM_NO_X_T = {key: value for key, value in PROBLEM.items() if key != "x_T"}
+SWEEP_GRID = {"kind": "uniform_boot", "t_min": 1e-3, "boot_gap": 1e-3}
+
+# (name, sampler section, n_trajectories, experiment, extra keys); a None
+# leaves the key out, so that each config holds only what its experiment reads
 RUNS = [
     ("dbim1_eta0", {"method": "dbim1", "eta": 0.0}, 600, "sample", {}),
     ("dbim1_eta0.5", {"method": "dbim1", "eta": 0.5}, 600, "sample", {}),
@@ -50,13 +55,14 @@ RUNS = [
     ("pf_ode_euler", {"method": "pf_ode_euler"}, 600, "sample", {}),
     ("pf_ode_heun", {"method": "pf_ode_heun"}, 600, "sample", {}),
     ("sde_euler_maruyama", {"method": "sde_euler_maruyama"}, 600, "sample", {}),
-    ("roundtrip", {"method": "dbim1"}, 20, "roundtrip", {}),
-    ("interpolate", {"method": "dbim1"}, 1, "interpolate", {}),
-    ("diversity", {"method": "dbim1", "eta": 0.5, "n_steps_sweep": [4, 8]}, 1, "diversity",
-     {"options": {"n_conditions": 3, "samples_per_condition": 5}}),
-    ("marginals", {"method": "dbim1", "eta": 0.5}, 600, "marginals", {}),
-    ("drift_check", {"method": "dbim1"}, 1, "drift-check", {"options": {"n_points": 200}}),
-    ("convergence", {"method": "dbim1", "n_steps_sweep": [4, 8, 16]}, 1, "convergence", {}),
+    ("roundtrip", None, 20, "roundtrip", {}),
+    ("interpolate", None, None, "interpolate", {}),
+    ("diversity", {"method": "dbim1", "eta": 0.5, "n_steps_sweep": [4, 8]}, None, "diversity",
+     {"grid": SWEEP_GRID, "problem": PROBLEM_NO_X_T, "options": {"n_conditions": 3, "samples_per_condition": 5}}),
+    ("marginals", {"eta": 0.5}, 600, "marginals", {}),
+    ("drift_check", None, None, "drift-check",
+     {"grid": None, "problem": PROBLEM_NO_X_T, "options": {"n_points": 200}}),
+    ("convergence", {"method": "dbim1", "n_steps_sweep": [4, 8, 16]}, None, "convergence", {"grid": SWEEP_GRID}),
     ("d16_dbim3", {"method": "dbim3"}, 600, "sample", {"problem": PROBLEM_D16}),
     ("d16_dbim1_eta1", {"method": "dbim1", "eta": 1.0}, 600, "sample", {"problem": PROBLEM_D16}),
 ]
@@ -107,7 +113,7 @@ def _config(sampler, n_traj, experiment, extra, n_steps=12):
         "n_trajectories": n_traj,
     }
     raw.update(extra)
-    return raw
+    return {key: value for key, value in raw.items() if value is not None}
 
 
 def _run_csv(tmp_path, raw) -> bytes:

@@ -160,7 +160,7 @@ class TestGrids:
 
     def test_uniform_structure(self):
         g = make_grid(GridKind.UNIFORM_WITH_BOOT_STEP, 7, t_min=0.01, t_max=1.0, boot_gap=0.01)
-        ts = g.as_array()
+        ts = np.asarray(g.times)
         assert ts[0] == 0.01 and ts[-1] == 1.0 and ts[-2] == 0.99
         np.testing.assert_allclose(np.diff(ts[:-1]), np.diff(ts[:-1])[0], rtol=1e-12)
 
@@ -171,12 +171,12 @@ class TestGrids:
             (hi ** (1 / kappa) + (i / n) * (lo ** (1 / kappa) - hi ** (1 / kappa))) ** kappa
             for i in range(n + 1)
         )
-        np.testing.assert_allclose(g.as_array(), expect, rtol=1e-12)
-        assert np.all(np.diff(g.as_array()) > 0)
+        np.testing.assert_allclose(np.asarray(g.times), expect, rtol=1e-12)
+        assert np.all(np.diff(np.asarray(g.times)) > 0)
 
     def test_edm_power_unit_exponent_is_uniform(self):
         g = make_grid(GridKind.EDM_POWER, 10, t_min=0.1, t_max=1.0, edm_exponent=1.0)
-        np.testing.assert_allclose(g.as_array(), np.linspace(0.1, 1.0, 11), rtol=1e-12)
+        np.testing.assert_allclose(np.asarray(g.times), np.linspace(0.1, 1.0, 11), rtol=1e-12)
 
     def test_invalid_params(self):
         with pytest.raises(InvalidGridParams):
