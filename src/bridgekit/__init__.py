@@ -58,8 +58,6 @@ try:
         Method,
         SamplerConfig,
         Trajectory,
-        boot_step,
-        dbim_step,
         decode,
         drift_dbim,
         drift_pfode,
@@ -98,9 +96,7 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "VarianceParam",
-    "boot_step",
     "coeffs",
-    "dbim_step",
     "decode",
     "diversity_score",
     "drift_dbim",

@@ -193,8 +193,8 @@ _GRIDS = {
     "uniform_boot": (GridKind.UNIFORM_WITH_BOOT_STEP, ("t_min", "boot_gap")),
     "edm_power": (GridKind.EDM_POWER, ("t_min", "edm_exponent")),
 }
-# the grid section's keys but n_steps: those of every kind
-_GRID_SHAPE = ("grid.kind", "grid.t_min", "grid.boot_gap", "grid.edm_exponent")
+# the grid section's keys but n_steps: kind, then those of every kind in _GRIDS order
+_GRID_SHAPE = ("grid.kind", *dict.fromkeys(f"grid.{key}" for _, keys in _GRIDS.values() for key in keys))
 
 
 def _build_grid(spec: dict, sched: NoiseSchedule, n_steps, name: str) -> TimeGrid:

@@ -56,7 +56,10 @@ from .schedule import NoiseSchedule, coeffs
 
 _MAX_DIM = 64
 _JITTER = 1e-10
+# the gain cache holds at most this many entries and, at d×d doubles per
+# gain, at most _GAIN_CACHE_DOUBLES doubles (128 MB): 4 096 entries at d=64
 _GAIN_CACHE_MAX = 65536
+_GAIN_CACHE_DOUBLES = 1 << 24
 # doubles per stacked array in GaussianOracle.prepare: 1 MB, 32 systems at d=64
 _STACK_ELEMS = 1 << 17
 _FLAPACK = "scipy.linalg._flapack"
@@ -191,6 +194,7 @@ class GaussianOracle:
         self.problem = problem
         self.schedule = schedule
         self._gain_cache: dict[tuple[float, float], np.ndarray] = {}
+        self._cache_cap = min(_GAIN_CACHE_MAX, _GAIN_CACHE_DOUBLES // problem.dim ** 2)
         self._eye = np.eye(problem.dim)
         self._jittered_cov = problem.cov + _JITTER * self._eye
         # (x_T bytes, x_T shape, batch shape) -> (x_T tile, m(x_T) tile)
@@ -248,7 +252,7 @@ class GaussianOracle:
             k = coeffs(self.schedule, t)
             if k.c != 0.0 and (k.b, k.c) not in self._gain_cache:
                 pairs[(k.b, k.c)] = None
-        pending = list(pairs)[:_GAIN_CACHE_MAX - len(self._gain_cache)]
+        pending = list(pairs)[:self._cache_cap - len(self._gain_cache)]
         block = max(_STACK_ELEMS // self.problem.dim ** 2, 1)
         for lo in range(0, len(pending), block):
             keys = pending[lo:lo + block]
@@ -266,7 +270,7 @@ class GaussianOracle:
             raise SingularSystem(f"conditioning system singular at b={b}, c={c}")
         if info < 0:
             raise BridgekitError(f"LAPACK rejected argument {-info} of the gain solve at b={b}, c={c}")
-        if len(self._gain_cache) < _GAIN_CACHE_MAX:
+        if len(self._gain_cache) < self._cache_cap:
             self._gain_cache[(b, c)] = gain
         return gain
 

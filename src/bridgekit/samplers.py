@@ -19,6 +19,13 @@ with x̂_T in place of x₀), and then walk the remaining grid down to t_0:
   reverse SDE as baselines; the two drifts share one body and differ only
   in the weight on the score (½ for the ODE, 1 for the SDE).
 
+Each step is written once.  The boot step lives only in the engine (a boot
+from a chosen noise is ``decode`` on the one-step grid (t_{N−1}, T)); the
+dbim1 update's guarded public form is
+:func:`~bridgekit.bridge.inference_kernel_mean_var`; the dbim2/dbim3 update
+calls :func:`taylor_integral`.  Every entry rejects a grid with fewer than
+two times or whose times do not strictly increase.
+
 One engine runs every forward chain: it advances the whole (n_traj, d)
 batch one grid step at a time on the calling thread, with one predictor
 call per step (two for Heun).  The updates take x_T tiled to the
@@ -57,14 +64,13 @@ from .errors import (
     BridgekitError,
     DegenerateCoefficient,
     DimensionMismatch,
-    InitialStepSingularity,
     InvalidGridParams,
     NonpositiveStep,
     ReconstructionInconsistent,
     SingularSystem,
     ZeroVector,
 )
-from .bridge import VarianceParam, _kernel_mean, forward_sample, inference_kernel_mean_var, make_rhos
+from .bridge import VarianceParam, _kernel_mean, forward_sample, make_rhos
 from .oracle import score_from_predictor
 from .schedule import NoiseSchedule, TimeGrid, coeffs
 
@@ -175,7 +181,11 @@ def _noise(philox: _Philox, tag: int, step: int, chunk: int, out: np.ndarray) ->
 
 @dataclass(frozen=True)
 class _GridCoeffs:
-    """Bridge coefficients tabulated at every grid time; lam[N] = −inf."""
+    """Bridge coefficients tabulated at every grid time; lam[N] = −inf.
+
+    ``build`` checks the grid for every engine entry and the config loader:
+    at least two strictly increasing times, the last at the schedule's horizon.
+    """
 
     times: tuple[float, ...]
     a: np.ndarray
@@ -185,6 +195,12 @@ class _GridCoeffs:
 
     @classmethod
     def build(cls, schedule: NoiseSchedule, grid: TimeGrid) -> "_GridCoeffs":
+        times = grid.times
+        if len(times) < 2:
+            raise InvalidGridParams(f"a grid needs at least two times, got {len(times)}")
+        for lo, hi in zip(times, times[1:]):
+            if not lo < hi:
+                raise InvalidGridParams(f"grid times must strictly increase, got {lo} then {hi}")
         if not math.isclose(grid.t_max, schedule.horizon, rel_tol=0.0, abs_tol=0.0):
             raise InvalidGridParams(
                 f"grid t_max={grid.t_max} must equal the schedule horizon {schedule.horizon}"
@@ -197,53 +213,6 @@ class _GridCoeffs:
             c=np.array([k.c for k in ks]),
             lam=np.array([k.lam for k in ks]),
         )
-
-
-# ---------------------------------------------------------------------------
-# elementary steps
-# ---------------------------------------------------------------------------
-
-
-def boot_step(
-    schedule: NoiseSchedule,
-    predictor,
-    xT: np.ndarray,
-    t_target: float,
-    eps: np.ndarray,
-) -> np.ndarray:
-    """Stochastic first step from t = T down to ``t_target``.
-
-    Draws from the bridge kernel (:func:`~bridgekit.bridge.forward_sample`)
-    at t_target with x̂_T, the predictor evaluated at the endpoint itself,
-    in place of x₀: a x_T + b x̂_T + c ε.
-    """
-    if not t_target < schedule.horizon:
-        raise InitialStepSingularity(f"boot target {t_target} must lie below T={schedule.horizon}")
-    xT = np.asarray(xT, dtype=float)
-    return forward_sample(schedule, predictor.predict(xT, schedule.horizon, xT), xT, t_target, eps)
-
-
-def dbim_step(
-    schedule: NoiseSchedule,
-    rho_n: float,
-    x_next: np.ndarray,
-    xT: np.ndarray,
-    x_hat: np.ndarray,
-    t_n: float,
-    t_next: float,
-    eps: np.ndarray | None = None,
-) -> np.ndarray:
-    """One implicit update from t_{n+1} down to t_n given the prediction x̂.
-
-    This is the mean of :func:`~bridgekit.bridge.inference_kernel_mean_var`
-    with x̂ in place of x₀, plus ρ_n ε when ``eps`` is given, and it has
-    that function's checks.  The step leaving t = T is singular
-    (c_{t_{n+1}} = 0) and must go through :func:`boot_step` instead.
-    """
-    out, _ = inference_kernel_mean_var(schedule, rho_n, x_hat, x_next, xT, t_n, t_next)
-    if eps is not None and rho_n > 0.0:
-        out = out + rho_n * np.asarray(eps, dtype=float)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +237,6 @@ def _phi3(h: float) -> float:
 
 
 def taylor_integral(
-    order: int,
     lam_s: float,
     lam_t: float,
     x_hat: np.ndarray,
@@ -277,23 +245,12 @@ def taylor_integral(
 ) -> np.ndarray:
     """Approximate ∫ e^λ x̂(λ) dλ from λ_t up to λ_s by a Taylor step.
 
-    Order 2 uses the value and first λ-derivative of the prediction; order 3
-    adds the second derivative.  The weights 1−e⁻ʰ, h−1+e⁻ʰ and
-    h²/2−h+1−e⁻ʰ are evaluated by series below h = 1e-4 to avoid
-    cancellation.
+    Order 2 uses the value and first λ-derivative of the prediction; the
+    step is order 3 exactly when the second derivative ``x_hat_d2`` is
+    given.  The weights 1−e⁻ʰ, h−1+e⁻ʰ and h²/2−h+1−e⁻ʰ are evaluated by
+    series below h = 1e-4 to avoid cancellation.  The dbim2/dbim3 engine
+    steps call this function.
     """
-    if order not in (2, 3):
-        raise InvalidGridParams(f"order must be 2 or 3, got {order}")
-    if order == 3 and x_hat_d2 is None:
-        raise InvalidGridParams("order 3 requires x_hat_d2")
-    return _taylor(
-        lam_s, lam_t, np.asarray(x_hat, dtype=float), np.asarray(x_hat_d1, dtype=float),
-        np.asarray(x_hat_d2, dtype=float) if order == 3 else None,
-    )
-
-
-def _taylor(lam_s: float, lam_t: float, x_hat, x_hat_d1, x_hat_d2) -> np.ndarray:
-    """:func:`taylor_integral` on float arrays; order 3 when ``x_hat_d2`` is given."""
     h = lam_s - lam_t
     if not h > 0.0:
         raise NonpositiveStep(f"need lam_s > lam_t, got h={h}")
@@ -450,7 +407,7 @@ def _run_chunk(method, gc, rhos, schedule, predictor, xT, eps_boot, normals, rec
                 d1 = (d_near * (2.0 * h1 + h2) - d_far * h1) / (h1 + h2)
                 d2 = 2.0 * (d_near - d_far) / (h1 + h2)
             d_far = d_near
-            integral = _taylor(lam[i - 1], lam[i], x_hat, d1, d2)
+            integral = taylor_integral(lam[i - 1], lam[i], x_hat, d1, d2)
             newer = x_hat
             c_ratio = c[i - 1] / c[i]
             x = c_ratio * x + (a[i - 1] - c_ratio * a[i]) * xT_tile + c[i - 1] * integral

@@ -24,11 +24,11 @@ from bridgekit import (
     diversity_score,
     drift_dbim,
     drift_pfode,
-    dbim_step,
     encode,
     eta_rho,
     fit_order,
     forward_sample,
+    inference_kernel_mean_var,
     make_grid,
     make_rhos,
     markov_x0_coefficient,
@@ -285,7 +285,7 @@ def test_c8_limits():
         x_t = forward_sample(schb, x0, xT, t, rng.standard_normal(1))
         x_hat = oracle.predict(x_t, t, xT)
         rho = eta_rho(schb, s, t, 1.0)
-        stepped = dbim_step(schb, rho, x_t, xT, x_hat, s, t, eps=None)
+        stepped = inference_kernel_mean_var(schb, rho, x_hat, x_t, xT, s, t)[0]
         target = s * xT + (1.0 - s) * x_hat
         scale = max(float(np.linalg.norm(target)), 1.0)
         fm_dev = max(fm_dev, float(np.linalg.norm(stepped - target)) / scale)

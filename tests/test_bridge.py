@@ -10,7 +10,6 @@ from bridgekit import (
     NoiseSchedule,
     VarianceParam,
     coeffs,
-    dbim_step,
     eta_rho,
     forward_sample,
     inference_kernel_mean_var,
@@ -142,16 +141,13 @@ class TestInferenceKernel:
             )
 
     def test_rho_above_c_rejected(self):
-        # both guarded entry points share one check, with a 1e-12 relative slack
+        # the check has a 1e-12 relative slack
         c = coeffs(BB, 0.25).c
         x = np.array([0.3])
         for rho in (c, c * (1.0 + 1e-13)):
             inference_kernel_mean_var(BB, rho, x, x, x, 0.25, 0.5)
-            dbim_step(BB, rho, x, x, x, 0.25, 0.5)
         with pytest.raises(InvalidGridParams, match="exceeds"):
             inference_kernel_mean_var(BB, c * (1.0 + 1e-9), x, x, x, 0.25, 0.5)
-        with pytest.raises(InvalidGridParams, match="exceeds"):
-            dbim_step(BB, c * (1.0 + 1e-9), x, x, x, 0.25, 0.5)
 
 
 class TestMarkovCoefficient:

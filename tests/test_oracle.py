@@ -343,6 +343,15 @@ class TestGainTable:
         capped = GaussianOracle(problem, BB)
         capped.prepare(times)
         assert len(capped._gain_cache) == 7
+        # a doubles budget of five 3×3 gains caps the cache below 7 entries,
+        # in prepare and in _gain alike
+        monkeypatch.setattr(oracle_mod, "_GAIN_CACHE_DOUBLES", 5 * 9 + 8)
+        by_size = GaussianOracle(problem, BB)
+        by_size.prepare(times)
+        assert list(by_size._gain_cache) == list(whole._gain_cache)[:5]
+        k = coeffs(BB, times[-1])
+        assert_same_array(by_size._gain(k.b, k.c), whole._gain_cache[(k.b, k.c)])
+        assert len(by_size._gain_cache) == 5
 
     def test_unsolvable_system_raises_only_when_asked_for(self):
         oracle = GaussianOracle(GaussianBridgeProblem.scalar(0.0, 0.0, 1.0), BB)

@@ -14,19 +14,21 @@ from bridgekit import (
     Method,
     NoiseSchedule,
     SamplerConfig,
-    boot_step,
+    TimeGrid,
+    VarianceParam,
     coeffs,
-    dbim_step,
     decode,
     drift_dbim,
     drift_pfode,
     encode,
     fit_order,
+    inference_kernel_mean_var,
     make_grid,
     make_rhos,
     marginal_at,
     run_sampler,
     sample_batch,
+    simulate_inference_chain,
     slerp_interpolate,
     taylor_integral,
 )
@@ -74,17 +76,21 @@ def grid_of(n, t_min=0.05, gap=0.05, t_max=1.0, kind=GridKind.UNIFORM_WITH_BOOT_
     return make_grid(kind, n, t_min=t_min, t_max=t_max, boot_gap=gap)
 
 
+# a boot from a chosen noise is decode on the one-step grid (0.9, T)
+BOOT_GRID = TimeGrid((0.9, 1.0))
+
+
 class TestBootStep:
     def test_zero_noise_lands_on_prior_mean_line(self):
         xT = np.array([1.5])
-        out = boot_step(BB, ORACLE1, xT, 0.9, np.zeros(1))
+        out = decode(BB, ORACLE1, np.zeros(1), xT, BOOT_GRID)
         k = coeffs(BB, 0.9)
         m = PROB1.mean_given_endpoint(xT)
-        np.testing.assert_allclose(out, k.a * xT + k.b * m, rtol=1e-13)
+        assert np.array_equal(out, k.a * xT + k.b * m)
 
     def test_hand_value(self):
         # a=0.9, b=0.1, c=0.3 at t=0.9; m(1.5) = 0.65; eps = 0.4
-        out = boot_step(BB, ORACLE1, np.array([1.5]), 0.9, np.array([0.4]))
+        out = decode(BB, ORACLE1, np.array([0.4]), np.array([1.5]), BOOT_GRID)
         np.testing.assert_allclose(out, [1.535], rtol=1e-13)
 
     def test_matches_forward_kernel_with_exact_data(self):
@@ -93,27 +99,26 @@ class TestBootStep:
         x0 = PROB1.mean_given_endpoint(xT)
         eps = np.array([0.7])
         k = coeffs(BB, 0.9)
-        np.testing.assert_allclose(
-            boot_step(BB, ORACLE1, xT, 0.9, eps), k.a * xT + k.b * x0 + k.c * eps, rtol=1e-13
-        )
+        assert np.array_equal(decode(BB, ORACLE1, eps, xT, BOOT_GRID), k.a * xT + k.b * x0 + k.c * eps)
 
     def test_rejects_target_at_horizon(self):
-        with pytest.raises(InitialStepSingularity):
-            boot_step(BB, ORACLE1, np.array([1.0]), 1.0, np.zeros(1))
+        with pytest.raises(InvalidGridParams):
+            decode(BB, ORACLE1, np.zeros(1), np.array([1.0]), TimeGrid((1.0, 1.0)))
 
 
 class TestDbimStep:
+    # one dbim1 update is the inference-kernel mean with x_hat in place of x0, plus rho eps
     def test_full_variance_cancels_residual(self):
         kn = coeffs(BB, 0.3)
         x_next, xT, x_hat, eps = np.array([9.0]), np.array([1.2]), np.array([0.4]), np.array([0.7])
-        out = dbim_step(BB, kn.c, x_next, xT, x_hat, 0.3, 0.6, eps)
+        out = inference_kernel_mean_var(BB, kn.c, x_hat, x_next, xT, 0.3, 0.6)[0] + kn.c * eps
         np.testing.assert_allclose(out, kn.a * xT + kn.b * x_hat + kn.c * eps, rtol=1e-12)
 
     def test_deterministic_step_stays_on_bridge_line(self):
         kn, km = coeffs(BB, 0.3), coeffs(BB, 0.6)
         xT, x0 = np.array([1.2]), np.array([0.4])
         x_next = km.a * xT + km.b * x0
-        out = dbim_step(BB, 0.0, x_next, xT, x0, 0.3, 0.6)
+        out = inference_kernel_mean_var(BB, 0.0, x0, x_next, xT, 0.3, 0.6)[0]
         np.testing.assert_allclose(out, kn.a * xT + kn.b * x0, rtol=1e-12)
 
     def test_hand_value_half_eta(self):
@@ -121,18 +126,18 @@ class TestDbimStep:
         from bridgekit import eta_rho
 
         rho = eta_rho(BB, 0.3, 0.6, 0.5)
-        out = dbim_step(
-            BB, rho, np.array([0.9]), np.array([1.2]), np.array([0.4]), 0.3, 0.6, np.array([0.7])
-        )
-        np.testing.assert_allclose(out, [0.79251024207507276133], rtol=1e-13)
+        mean = inference_kernel_mean_var(
+            BB, rho, np.array([0.4]), np.array([0.9]), np.array([1.2]), 0.3, 0.6
+        )[0]
+        np.testing.assert_allclose(mean + rho * np.array([0.7]), [0.79251024207507276133], rtol=1e-13)
 
     def test_initial_step_singularity(self):
         with pytest.raises(InitialStepSingularity):
-            dbim_step(BB, 0.0, np.zeros(1), np.zeros(1), np.zeros(1), 0.9, 1.0)
+            inference_kernel_mean_var(BB, 0.0, np.zeros(1), np.zeros(1), np.zeros(1), 0.9, 1.0)
 
     def test_rho_cannot_exceed_c(self):
         with pytest.raises(InvalidGridParams):
-            dbim_step(BB, 5.0, np.zeros(1), np.zeros(1), np.zeros(1), 0.3, 0.6)
+            inference_kernel_mean_var(BB, 5.0, np.zeros(1), np.zeros(1), np.zeros(1), 0.3, 0.6)
 
 
 class TestRunDbim1:
@@ -141,8 +146,8 @@ class TestRunDbim1:
         cfg = SamplerConfig(Method.DBIM1, grid, seed=5)
         traj = run_sampler(cfg, BB, ORACLE1, np.array([1.0]))
         assert len(traj.states) == 2
-        expected = boot_step(BB, ORACLE1, np.array([1.0]), 0.9, traj.boot_noise)
-        np.testing.assert_allclose(traj.terminal, expected, rtol=1e-14)
+        expected = decode(BB, ORACLE1, traj.boot_noise, np.array([1.0]), BOOT_GRID)
+        assert np.array_equal(traj.terminal, expected)
 
     def test_predictor_called_once_per_step(self):
         counting = CountingOracle(ORACLE1)
@@ -211,13 +216,13 @@ class TestTaylorIntegral:
     def test_reduces_to_first_order_without_derivatives(self):
         lam_s, lam_t = 0.8, 0.1
         x_hat = np.array([1.3])
-        out = taylor_integral(2, lam_s, lam_t, x_hat, np.zeros(1))
+        out = taylor_integral(lam_s, lam_t, x_hat, np.zeros(1))
         expect = math.exp(lam_s) * (1.0 - math.exp(-(lam_s - lam_t))) * x_hat
         np.testing.assert_allclose(out, expect, rtol=1e-14)
 
     def test_linear_integrand_exact_vs_quadrature(self):
         lam_t, lam_s = -0.4, 1.1
-        out = taylor_integral(2, lam_s, lam_t, np.array([lam_t]), np.array([1.0]))
+        out = taylor_integral(lam_s, lam_t, np.array([lam_t]), np.array([1.0]))
         expect, _ = quad(lambda lam: math.exp(lam) * lam, lam_t, lam_s, epsabs=1e-13)
         np.testing.assert_allclose(out, [expect], rtol=1e-10)
 
@@ -227,7 +232,7 @@ class TestTaylorIntegral:
         def f(lam):
             return 0.5 * (lam - lam_t) ** 2 + 2.0 * (lam - lam_t) + 0.7
 
-        out = taylor_integral(3, lam_s, lam_t, np.array([0.7]), np.array([2.0]), np.array([1.0]))
+        out = taylor_integral(lam_s, lam_t, np.array([0.7]), np.array([2.0]), np.array([1.0]))
         expect, _ = quad(lambda lam: math.exp(lam) * f(lam), lam_t, lam_s, epsabs=1e-13)
         np.testing.assert_allclose(out, [expect], rtol=1e-10)
 
@@ -243,7 +248,7 @@ class TestTaylorIntegral:
 
     def test_nonpositive_step_rejected(self):
         with pytest.raises(NonpositiveStep):
-            taylor_integral(2, 0.1, 0.5, np.zeros(1), np.zeros(1))
+            taylor_integral(0.1, 0.5, np.zeros(1), np.zeros(1))
 
 
 class TestRunDbimHigh:
@@ -512,6 +517,28 @@ class TestPowerGridSampling:
         cfg = SamplerConfig(Method.DBIM1, grid, seed=0)
         with pytest.raises(InvalidGridParams):
             run_sampler(cfg, BB, ORACLE1, np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "times", [(0.5, 0.3, 1.0), (1.0, 1.0), (1.0,)], ids=["unordered", "repeated", "one_time"]
+    )
+    @pytest.mark.parametrize("entry", ["sample_batch", "decode", "encode", "simulate_inference_chain"])
+    def test_grid_must_strictly_increase(self, entry, times):
+        # every such grid ends at the horizon, so only the order check can reject it
+        grid = TimeGrid(times)
+        xT = np.array([1.0])
+        runs = {
+            "sample_batch": lambda: sample_batch(
+                SamplerConfig(Method.DBIM1, grid, seed=0), BB, ORACLE1, xT, 3
+            ),
+            "decode": lambda: decode(BB, ORACLE1, np.zeros(1), xT, grid),
+            "encode": lambda: encode(BB, ORACLE1, PROB1.mean_given_endpoint(xT), xT, grid),
+            "simulate_inference_chain": lambda: simulate_inference_chain(
+                BB, grid, VarianceParam(0.0, (0.0,) * grid.n_steps), np.zeros(1), xT, 3,
+                np.random.default_rng(0),
+            ),
+        }
+        with pytest.raises(InvalidGridParams, match="at least two times|strictly increase"):
+            runs[entry]()
 
 
 class TestNoiseProtocol:
