@@ -49,10 +49,6 @@ class ZeroVector(BridgekitError):
     """A vector required to be nonzero is zero."""
 
 
-class ReconstructionInconsistent(BridgekitError):
-    """An input to encoding is incompatible with the predictor's posterior."""
-
-
 class ConfigInvalid(BridgekitError):
     """A run configuration failed validation."""
 

@@ -43,8 +43,8 @@ loop the engine (and ``encode``) calls the predictor's optional
 ``prepare(times)`` hook with the grid times; ``GaussianOracle`` uses it to
 solve every conditioning gain up front.  The hook is not a prediction and
 is not counted as one.  The dbim3 update reuses the divided difference the
-previous step formed, and the step loop reads the grid coefficients as
-Python floats.
+previous step formed, and the step loop and ``encode`` read the grid
+coefficients as Python floats from one table.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .errors import (
     DimensionMismatch,
     InvalidGridParams,
     NonpositiveStep,
-    ReconstructionInconsistent,
     SingularSystem,
     ZeroVector,
 )
@@ -181,17 +180,19 @@ def _noise(philox: _Philox, tag: int, step: int, chunk: int, out: np.ndarray) ->
 
 @dataclass(frozen=True)
 class _GridCoeffs:
-    """Bridge coefficients tabulated at every grid time; lam[N] = −inf.
+    """Bridge coefficients at every grid time, as Python floats; lam[N] = −inf.
 
     ``build`` checks the grid for every engine entry and the config loader:
     at least two strictly increasing times, the last at the schedule's horizon.
+    The engine and ``encode`` index these tuples: indexing a tuple is cheaper
+    than making a numpy scalar, and the arithmetic is the same.
     """
 
     times: tuple[float, ...]
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    lam: np.ndarray
+    a: tuple[float, ...]
+    b: tuple[float, ...]
+    c: tuple[float, ...]
+    lam: tuple[float, ...]
 
     @classmethod
     def build(cls, schedule: NoiseSchedule, grid: TimeGrid) -> "_GridCoeffs":
@@ -208,10 +209,10 @@ class _GridCoeffs:
         ks = [coeffs(schedule, t) for t in grid.times]
         return cls(
             times=grid.times,
-            a=np.array([k.a for k in ks]),
-            b=np.array([k.b for k in ks]),
-            c=np.array([k.c for k in ks]),
-            lam=np.array([k.lam for k in ks]),
+            a=tuple(k.a for k in ks),
+            b=tuple(k.b for k in ks),
+            c=tuple(k.c for k in ks),
+            lam=tuple(k.lam for k in ks),
         )
 
 
@@ -365,9 +366,7 @@ def _run_chunk(method, gc, rhos, schedule, predictor, xT, eps_boot, normals, rec
     N = len(gc.times) - 1
     _prepare(predictor, gc.times)
     pred = _CountingPredictor(predictor)
-    # the coefficients as Python floats: indexing a list is cheaper than
-    # making a numpy scalar, and the arithmetic is the same
-    a, b, c, lam = gc.a.tolist(), gc.b.tolist(), gc.c.tolist(), gc.lam.tolist()
+    a, b, c, lam = gc.a, gc.b, gc.c, gc.lam
     x_hat = pred.predict(xT, gc.times[N], xT)
     x = forward_sample(schedule, x_hat, xT, gc.times[N - 1], eps_boot)
     states = [x] if record else None
@@ -531,34 +530,23 @@ def encode(
     x0: np.ndarray,
     xT: np.ndarray,
     grid: TimeGrid,
-    consistency_tol: float = 1e-2,
 ) -> np.ndarray:
     """Recover the booting noise whose deterministic decode reproduces ``x0``.
 
     Each deterministic update is affine in the unknown upper state once the
     predictor's affine map at the upper time is known, so the recursion is
-    inverted exactly step by step from t_0 up to t_{N−1}; the booting noise
-    is then read off the boot step.  Requires a predictor exposing
-    ``linearize`` (all predictors in :mod:`bridgekit.oracle` do).
-
-    Inputs the predictor itself contradicts (its time-t_0 posterior mean
-    maps x0 elsewhere, as for x0 off the support of a degenerate problem)
-    fail the consistency residual check.
+    inverted exactly step by step from t_0 up to t_{N−1}, for any finite
+    x0; the booting noise is then read off the boot step.  Requires a
+    predictor exposing ``linearize`` (all predictors in
+    :mod:`bridgekit.oracle` do).
     """
     if not hasattr(predictor, "linearize"):
         raise BridgekitError("encode requires a predictor with a linearize(t, xT) method")
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     xT = np.asarray(xT, dtype=float)
     gc = _GridCoeffs.build(schedule, grid)
     _prepare(predictor, grid.times)
     N = grid.n_steps
-
-    residual = np.linalg.norm(predictor.predict(x, grid.times[0], xT) - x)
-    if residual > consistency_tol * max(1.0, float(np.linalg.norm(x))):
-        raise ReconstructionInconsistent(
-            f"x0 is inconsistent with the predictor posterior (residual {residual:.3e})"
-        )
-
     eye = np.eye(x.shape[-1])
     for n in range(N - 1):
         kappa = gc.c[n] / gc.c[n + 1]
@@ -572,10 +560,8 @@ def encode(
             raise SingularSystem(f"encode step {n} -> {n + 1} is not invertible") from exc
 
     x_hat_T = predictor.predict(xT, grid.times[N], xT)
-    c_boot = gc.c[N - 1]
-    if c_boot == 0.0:
-        raise DegenerateCoefficient("boot coefficient c vanished; cannot recover noise")
-    return (x - gc.a[N - 1] * xT - gc.b[N - 1] * x_hat_T) / c_boot
+    # c_{N−1} > 0: the grid strictly increases to T, and coeffs rejects c < 1e-300 below T
+    return (x - gc.a[N - 1] * xT - gc.b[N - 1] * x_hat_T) / gc.c[N - 1]
 
 
 def slerp_interpolate(eps_a: np.ndarray, eps_b: np.ndarray, w: float) -> np.ndarray:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ from .errors import (
 )
 
 _COEF_FLOOR = 1e-300
+# the largest x with math.exp(x) finite
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class ScheduleKind(enum.Enum):
@@ -72,6 +75,9 @@ class NoiseSchedule:
         elif self.kind is ScheduleKind.VE:
             if len(p) != 2 or p[0] <= 0 or p[1] <= p[0]:
                 raise InvalidGridParams(f"VE needs 0 < sigma_min < sigma_max, got {p}")
+            # σ_t² = exp(log σ_t²) grows from σ_min² (t → 0) to σ_max² (t = T)
+            if not (math.exp(self.log_sigma2(0.0)) > 0.0 and self.log_sigma2(self.horizon) <= _LOG_MAX):
+                raise InvalidGridParams(f"VE sigma_t^2 leaves the double range for sigma_min, sigma_max = {p}")
         elif self.kind is ScheduleKind.BROWNIAN_BRIDGE:
             if len(p) != 1 or p[0] <= 0:
                 raise InvalidGridParams(f"Brownian bridge needs beta > 0, got {p}")

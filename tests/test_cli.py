@@ -190,6 +190,11 @@ class TestConfigValidation:
          ("convergence", "dbim2", 0.0, "edm_power", [1])),
         # a misspelt option key, which would otherwise fall back to its default
         (("experiment", "options.n_point"), ("drift-check", 5)),
+        # VE schedules whose sigma_t^2 overflows at the horizon or underflows
+        # to 0 toward t = 0
+        (("schedule", "sampler"), ({"kind": "ve", "sigma_max": 1e155}, {"method": "pf_ode_heun"})),
+        (("experiment", "schedule"), ("marginals", {"kind": "ve", "sigma_min": 1e-200})),
+        (("experiment", "schedule"), ("drift-check", {"kind": "ve", "sigma_max": 1e300})),
     ])
     def test_invalid_input_exits_2_without_output(self, tmp_path, key, value):
         # a tuple of keys sets each key to the matching entry of the value tuple
@@ -671,6 +676,35 @@ class TestExperiments:
         assert header == ["traj_id", "recon_rel_err"]
         assert all(float(r[1]) <= 1e-8 for r in rows)
 
+    # every schedule kind on three grids, with and without a biased
+    # predictor, then a t_min and two biases that used to exit 3; encode
+    # inverts the deterministic recursion for any finite x0
+    @pytest.mark.parametrize("schedule,grid,bias", [
+        *[pytest.param({"kind": kind}, grid, bias, id=f"{kind}-{grid_id}-bias{bias}")
+          for kind in ("brownian_bridge", "vp", "ve")
+          for grid_id, grid in (
+              ("uniform_boot-1e-4", {"kind": "uniform_boot", "t_min": 1e-4}),
+              ("uniform_boot-0.05", {"kind": "uniform_boot", "t_min": 0.05, "boot_gap": 0.05}),
+              ("edm_power-1e-3", {"kind": "edm_power", "t_min": 1e-3}),
+          )
+          for bias in (0.0, 0.05)],
+        pytest.param(None, {"kind": "uniform_boot", "t_min": 0.01}, 0.0, id="t_min0.01"),
+        pytest.param(None, {"kind": "uniform_boot"}, 0.02, id="bias0.02"),
+        pytest.param(None, {"kind": "uniform_boot"}, 0.1, id="bias0.1"),
+    ])
+    def test_roundtrip_reconstructs_every_draw(self, tmp_path, schedule, grid, bias):
+        n, n_steps = 4, 12
+        cfg_raw = experiment_config("roundtrip", n_trajectories=n, grid={**grid, "n_steps": n_steps})
+        cfg_raw["problem"]["bias"] = bias
+        if schedule is not None:
+            cfg_raw["schedule"] = schedule
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(write_config(tmp_path, cfg_raw)), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["metrics"]["max_recon_rel_err"] <= 1e-12
+        # per draw, one prediction (at T) to encode and N to decode
+        assert report["predictor_calls"] == n * (n_steps + 1)
+
     def test_interpolate_schema(self, tmp_path):
         cfg_raw = experiment_config("interpolate")
         cfg_raw["options"] = {"weights": [0.0, 0.5, 1.0]}
@@ -750,14 +784,15 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
 
-    def test_numerical_failure_exits_3(self, tmp_path):
-        # a heavily biased predictor makes every encode input inconsistent
-        cfg_raw = experiment_config("roundtrip", n_trajectories=2)
-        cfg_raw["problem"]["bias"] = 5.0
-        cfg_raw["grid"]["n_steps"] = 50
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        # with beta_max = 1e6, b_t underflows to 0 at the drawn times, so the
+        # drift is undefined: a failure at run time, after the config loads
+        cfg_raw = experiment_config("drift-check", schedule={"kind": "vp", "beta_max": 1e6})
         p = write_config(tmp_path, cfg_raw)
-        code = main(["run", "--config", str(p), "--out", str(tmp_path / "o"), "--threads", "1"])
-        assert code == 3
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: drift-check:")
+        assert not out.exists()
 
 
 class TestSelftest:

@@ -36,7 +36,6 @@ from bridgekit.errors import (
     InitialStepSingularity,
     InvalidGridParams,
     NonpositiveStep,
-    ReconstructionInconsistent,
     ZeroVector,
 )
 
@@ -464,7 +463,8 @@ class TestEncodeDecode:
         np.testing.assert_allclose(back, eps, rtol=1e-8, atol=1e-10)
 
     def test_degenerate_problem_consistency_check(self):
-        # zero-variance pairing: only x0 = m(x_T) is encodable
+        # zero-variance pairing: encode inverts the recursion for any finite
+        # x0, on the support m(x_T) and off it
         prob = GaussianBridgeProblem(
             mix=np.array([[0.5]]), offset=np.array([0.1]), cov=np.array([[0.0]])
         )
@@ -472,10 +472,9 @@ class TestEncodeDecode:
         grid = grid_of(50)
         xT = np.array([2.0])
         m = prob.mean_given_endpoint(xT)
-        eps = encode(BB, oracle, m, xT, grid)
-        assert np.all(np.isfinite(eps))
-        with pytest.raises(ReconstructionInconsistent):
-            encode(BB, oracle, m + 1.0, xT, grid)
+        for x0 in (m, m + 1.0):
+            rec = decode(BB, oracle, encode(BB, oracle, x0, xT, grid), xT, grid)
+            assert np.linalg.norm(rec - x0) <= 1e-12 * np.linalg.norm(x0)
 
     def test_batch_and_threads_agree(self):
         grid = grid_of(10)
