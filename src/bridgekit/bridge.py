@@ -42,24 +42,6 @@ class VarianceParam:
     eta: float
     rhos: tuple[float, ...]
 
-    @classmethod
-    def from_rhos(cls, schedule: NoiseSchedule, grid: TimeGrid, rhos) -> "VarianceParam":
-        """Advanced constructor for arbitrary ρ vectors (eta recorded as nan).
-
-        Validates 0 ≤ ρ_n ≤ c_{t_n} and the boundary restriction.
-        """
-        rhos = tuple(float(r) for r in rhos)
-        if len(rhos) != grid.n_steps:
-            raise InvalidGridParams(f"need {grid.n_steps} rho entries, got {len(rhos)}")
-        for n, r in enumerate(rhos):
-            c_n = coeffs(schedule, grid.times[n]).c
-            if not (0.0 <= r <= c_n * (1.0 + 1e-12)):
-                raise InvalidGridParams(f"rho_{n}={r} outside [0, c_t={c_n}]")
-        c_last = coeffs(schedule, grid.times[grid.n_steps - 1]).c
-        if not math.isclose(rhos[-1], c_last, rel_tol=1e-9):
-            raise InvalidGridParams(f"rho_(N-1)={rhos[-1]} must equal c={c_last}")
-        return cls(eta=math.nan, rhos=rhos)
-
 
 def eta_rho(schedule: NoiseSchedule, t_n: float, t_next: float, eta: float) -> float:
     """ρ_n = η σ_{t_n} √(1 − SNR_{t_{n+1}}/SNR_{t_n}) for a single step t_n < t_{n+1}."""

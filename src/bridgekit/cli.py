@@ -29,7 +29,8 @@ import numpy as np
 from . import __version__
 from . import schedule as schedule_mod
 from .errors import BridgekitError, ConfigInvalid, NumericalFailure
-from .bridge import eta_rho, make_rhos, markov_x0_coefficient
+# make_rhos is not called here; perfbench's span seams resolve bridgekit.cli.make_rhos
+from .bridge import eta_rho, make_rhos, markov_x0_coefficient  # noqa: F401
 from .metrics import diversity_score, fit_order, moment_check
 from .oracle import GaussianBridgeProblem, GaussianOracle, PerturbedOracle
 from .samplers import (
@@ -355,9 +356,8 @@ def _exp_sample(cfg: RunConfig, predictor):
 
 def _exp_marginals(cfg: RunConfig, predictor):
     x0 = cfg.x0 if cfg.x0 is not None else cfg.problem.mean_given_endpoint(cfg.x_T)
-    rhos = make_rhos(cfg.schedule, cfg.grid, cfg.eta)
     states = simulate_inference_chain(
-        cfg.schedule, cfg.grid, rhos, x0, cfg.x_T, cfg.n_trajectories,
+        cfg.schedule, cfg.grid, cfg.eta, x0, cfg.x_T, cfg.n_trajectories,
         np.random.default_rng(cfg.seed),
     )
     rows = []

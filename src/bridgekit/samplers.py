@@ -69,7 +69,7 @@ from .errors import (
     SingularSystem,
     ZeroVector,
 )
-from .bridge import VarianceParam, _kernel_mean, forward_sample, make_rhos
+from .bridge import _kernel_mean, forward_sample, make_rhos
 from .oracle import score_from_predictor
 from .schedule import NoiseSchedule, TimeGrid, coeffs
 
@@ -478,27 +478,29 @@ def run_sampler(config: SamplerConfig, schedule: NoiseSchedule, predictor, xT) -
 def simulate_inference_chain(
     schedule: NoiseSchedule,
     grid: TimeGrid,
-    rhos: VarianceParam,
+    eta: float,
     x0: np.ndarray,
     xT: np.ndarray,
     n_traj: int,
     rng: np.random.Generator,
 ) -> dict[float, np.ndarray]:
-    """Simulate the inference chain with the true x₀ down the grid.
+    """Simulate the inference chain with the true x₀ down the grid at level η.
 
     This is the dbim1 engine with a predictor that returns ``x0`` and noise
     drawn from ``rng``: the boot step draws x_{t_{N−1}} from the bridge
-    kernel, and each later step applies the inference kernel with ρ_n.
-    Returns {t_n: (n_traj, d) states} for every grid time below T.  Used to
-    check that every member of the ρ-family keeps the bridge marginals.
+    kernel, and each later step applies the inference kernel with the ρ_n
+    that ``make_rhos`` gives at η.  Returns {t_n: (n_traj, d) states} for
+    every grid time below T.  Used to check that every member of the
+    η-family keeps the bridge marginals.
     """
     x0 = np.asarray(x0, dtype=float)
     xT = np.asarray(xT, dtype=float)
     gc = _GridCoeffs.build(schedule, grid)
+    rhos = make_rhos(schedule, grid, eta).rhos
     true_x0 = SimpleNamespace(predict=lambda x, t, x_T: x0)
     boot = rng.standard_normal((n_traj, x0.shape[0]))
     _, _, states = _run_chunk(
-        Method.DBIM1, gc, rhos.rhos, schedule, true_x0, xT, boot,
+        Method.DBIM1, gc, rhos, schedule, true_x0, xT, boot,
         lambda tag, step, shape: rng.standard_normal(shape), True,
     )
     return dict(zip(reversed(grid.times[:-1]), states))

@@ -75,9 +75,11 @@ class NoiseSchedule:
         elif self.kind is ScheduleKind.VE:
             if len(p) != 2 or p[0] <= 0 or p[1] <= p[0]:
                 raise InvalidGridParams(f"VE needs 0 < sigma_min < sigma_max, got {p}")
-            # σ_t² = exp(log σ_t²) grows from σ_min² (t → 0) to σ_max² (t = T)
-            if not (math.exp(self.log_sigma2(0.0)) > 0.0 and self.log_sigma2(self.horizon) <= _LOG_MAX):
-                raise InvalidGridParams(f"VE sigma_t^2 leaves the double range for sigma_min, sigma_max = {p}")
+            # σ_t² = exp(log σ_t²) grows from σ_min² (t → 0) to σ_max² (t = T), and
+            # g² = σ_t² · 2 log(σ_max/σ_min)/T with it
+            if not (math.exp(self.log_sigma2(0.0)) > 0.0 and self.log_sigma2(self.horizon) <= _LOG_MAX
+                    and math.isfinite(self.g2(self.horizon))):
+                raise InvalidGridParams(f"VE sigma_t^2 or g^2 leaves the double range for sigma_min, sigma_max = {p}")
         elif self.kind is ScheduleKind.BROWNIAN_BRIDGE:
             if len(p) != 1 or p[0] <= 0:
                 raise InvalidGridParams(f"Brownian bridge needs beta > 0, got {p}")

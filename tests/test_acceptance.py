@@ -30,7 +30,6 @@ from bridgekit import (
     forward_sample,
     inference_kernel_mean_var,
     make_grid,
-    make_rhos,
     markov_x0_coefficient,
     run_sampler,
     sample_batch,
@@ -98,8 +97,7 @@ def test_c2_marginal_preservation():
     worst_z = 0.0
     worst_var = 0.0
     for eta in (0.0, 0.5, 1.0):
-        rhos = make_rhos(BB, grid, eta)
-        states = simulate_inference_chain(BB, grid, rhos, x0, XT_2D, n, np.random.default_rng(500))
+        states = simulate_inference_chain(BB, grid, eta, x0, XT_2D, n, np.random.default_rng(500))
         for t, batch in states.items():
             k = coeffs(BB, t)
             mean = k.a * XT_2D + k.b * x0

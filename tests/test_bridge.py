@@ -8,7 +8,6 @@ import pytest
 from bridgekit import (
     GridKind,
     NoiseSchedule,
-    VarianceParam,
     coeffs,
     eta_rho,
     forward_sample,
@@ -91,19 +90,16 @@ class TestVarianceSchedule:
                 scaled.rhos[:-1], [eta * r for r in base.rhos[:-1]], rtol=1e-13
             )
 
-    def test_from_rhos_validates(self):
-        grid = bb_grid(4)
-        good = make_rhos(BB, grid, 0.7)
-        again = VarianceParam.from_rhos(BB, grid, good.rhos)
-        np.testing.assert_allclose(again.rhos, good.rhos)
-        with pytest.raises(InvalidGridParams):
-            VarianceParam.from_rhos(BB, grid, [0.0, 0.0, 0.0, 0.0])  # bad boundary entry
-        with pytest.raises(InvalidGridParams):
-            VarianceParam.from_rhos(BB, grid, list(good.rhos[:-1]) + [10.0])
-
     def test_eta_out_of_range(self):
         with pytest.raises(InvalidGridParams):
             make_rhos(BB, bb_grid(4), 1.5)
+
+    def test_chain_rejects_eta_out_of_range(self):
+        for eta in (-0.1, 1.5):
+            with pytest.raises(InvalidGridParams, match="eta must lie in"):
+                simulate_inference_chain(
+                    BB, bb_grid(4), eta, np.zeros(1), np.ones(1), 3, np.random.default_rng(0)
+                )
 
 
 class TestInferenceKernel:
@@ -268,9 +264,8 @@ class TestMarginalPreservation:
         grid = make_grid(GridKind.UNIFORM_WITH_BOOT_STEP, 6, t_min=0.05, t_max=1.0, boot_gap=0.05)
         n = 10 ** 5
         for eta in (0.0, 0.3, 0.5, 0.8, 1.0):
-            rhos = make_rhos(BB, grid, eta)
             states = simulate_inference_chain(
-                BB, grid, rhos, x0, xT, n, np.random.default_rng(77)
+                BB, grid, eta, x0, xT, n, np.random.default_rng(77)
             )
             for t, batch in states.items():
                 k = coeffs(BB, t)

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import inspect
 import json
 import math
@@ -195,6 +196,14 @@ class TestConfigValidation:
         (("schedule", "sampler"), ({"kind": "ve", "sigma_max": 1e155}, {"method": "pf_ode_heun"})),
         (("experiment", "schedule"), ("marginals", {"kind": "ve", "sigma_min": 1e-200})),
         (("experiment", "schedule"), ("drift-check", {"kind": "ve", "sigma_max": 1e300})),
+        # VE schedules whose sigma_t^2 fits but whose g^2 overflows at the horizon
+        (("experiment", "schedule"), ("convergence", {"kind": "ve", "sigma_min": 0.01, "sigma_max": 1e153})),
+        (("schedule", "sampler"), ({"kind": "ve", "sigma_min": 0.01, "sigma_max": 1e153}, {"method": "pf_ode_heun"})),
+        # a JSON integer past the float range, a ragged matrix, and weights
+        # that are not a list
+        ("schedule.beta", 10 ** 400),
+        ("cov", [[1.0, 0.3], [0.3]]),
+        (("experiment", "options.weights"), ("interpolate", 0.5)),
     ])
     def test_invalid_input_exits_2_without_output(self, tmp_path, key, value):
         # a tuple of keys sets each key to the matching entry of the value tuple
@@ -792,6 +801,18 @@ class TestDeterminism:
         out = tmp_path / "o"
         assert main(["run", "--config", str(p), "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: drift-check:")
+        assert not out.exists()
+
+    def test_non_finite_metric_exits_3(self, tmp_path, capsys, monkeypatch):
+        # real configs overflow into a numpy warning before a NaN metric, so
+        # the runner is replaced by one that returns it
+        def runner(cfg, predictor):
+            return "sample.csv", ["traj_id"], [[0]], {"terminal_mean_norm": math.nan}
+
+        monkeypatch.setitem(_EXPERIMENTS, "sample", dataclasses.replace(_EXPERIMENTS["sample"], runner=runner))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(write_config(tmp_path, base_config())), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: sample: non-finite metric")
         assert not out.exists()
 
 

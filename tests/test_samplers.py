@@ -15,7 +15,6 @@ from bridgekit import (
     NoiseSchedule,
     SamplerConfig,
     TimeGrid,
-    VarianceParam,
     coeffs,
     decode,
     drift_dbim,
@@ -532,7 +531,7 @@ class TestPowerGridSampling:
             "decode": lambda: decode(BB, ORACLE1, np.zeros(1), xT, grid),
             "encode": lambda: encode(BB, ORACLE1, PROB1.mean_given_endpoint(xT), xT, grid),
             "simulate_inference_chain": lambda: simulate_inference_chain(
-                BB, grid, VarianceParam(0.0, (0.0,) * grid.n_steps), np.zeros(1), xT, 3,
+                BB, grid, 0.0, np.zeros(1), xT, 3,
                 np.random.default_rng(0),
             ),
         }
