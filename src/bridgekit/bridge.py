@@ -58,7 +58,9 @@ def make_rhos(schedule: NoiseSchedule, grid: TimeGrid, eta: float) -> VariancePa
     if not 0.0 <= eta <= 1.0:
         raise InvalidGridParams(f"eta must lie in [0, 1], got {eta}")
     ts = grid.times
-    rhos = [eta_rho(schedule, ts[n], ts[n + 1], eta) for n in range(grid.n_steps - 1)]
+    steps = range(grid.n_steps - 1)
+    # at η = 0 every ρ_n but the last is exactly 0.0; skipping eta_rho keeps decode's cost
+    rhos = [eta_rho(schedule, ts[n], ts[n + 1], eta) for n in steps] if eta else [0.0] * len(steps)
     rhos.append(coeffs(schedule, ts[grid.n_steps - 1]).c)
     return VarianceParam(eta=float(eta), rhos=tuple(rhos))
 

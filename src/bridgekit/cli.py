@@ -361,8 +361,8 @@ def _exp_marginals(cfg: RunConfig, predictor):
         np.random.default_rng(cfg.seed),
     )
     rows = []
-    max_z = 0.0
-    max_var_dev = 0.0
+    # np.max, unlike max(), keeps a NaN, so that run() rejects it
+    abs_z, var_devs = [], []
     for t in sorted(states):
         k = coeffs(cfg.schedule, t)
         target_mean = k.a * cfg.x_T + k.b * x0
@@ -374,10 +374,11 @@ def _exp_marginals(cfg: RunConfig, predictor):
                 t, i, float(report.empirical_mean[i]), float(target_mean[i]),
                 emp_var, float(k.c * k.c), float(report.z_scores[i]),
             ])
-            max_var_dev = max(max_var_dev, abs(emp_var - k.c * k.c) / (k.c * k.c))
-        max_z = max(max_z, report.max_abs_z)
+            var_devs.append(abs(emp_var - k.c * k.c) / (k.c * k.c))
+        abs_z.append(report.max_abs_z)
     header = ["t", "coord", "emp_mean", "tgt_mean", "emp_var", "tgt_var", "z"]
-    return "marginals.csv", header, rows, {"max_abs_z": max_z, "max_var_rel_dev": max_var_dev}
+    metrics = {"max_abs_z": float(np.max(abs_z)), "max_var_rel_dev": float(np.max(var_devs))}
+    return "marginals.csv", header, rows, metrics
 
 
 def _drift_gaps(schedule: NoiseSchedule, predictor, rng, n_points: int, dim: int, lo: float, hi: float):
@@ -395,7 +396,7 @@ def _drift_gaps(schedule: NoiseSchedule, predictor, rng, n_points: int, dim: int
         d1 = drift_dbim(schedule, predictor, x, t, xT)
         d2 = drift_pfode(schedule, predictor, x, t, xT)
         samples.append((t, d1, d2))
-    scale = max(max(np.max(np.abs(d1)), np.max(np.abs(d2))) for _, d1, d2 in samples)
+    scale = float(np.max(np.abs([d for _, d1, d2 in samples for d in (d1, d2)])))
     gaps = []
     for t, d1, d2 in samples:
         denom = max(float(np.max(np.abs(d1))), float(np.max(np.abs(d2))), 1e-4 * scale)
@@ -409,7 +410,7 @@ def _exp_drift_check(cfg: RunConfig, predictor):
     gaps = _drift_gaps(cfg.schedule, predictor, rng, cfg.options["n_points"], cfg.problem.dim, lo, hi)
     rows = [[i, t, rel] for i, (t, rel) in enumerate(gaps)]
     header = ["idx", "t", "rel_dev"]
-    return "drift_check.csv", header, rows, {"max_rel_dev": max(rel for _, rel in gaps)}
+    return "drift_check.csv", header, rows, {"max_rel_dev": float(np.max([rel for _, rel in gaps]))}
 
 
 def _exp_convergence(cfg: RunConfig, predictor):
@@ -440,16 +441,14 @@ def _exp_roundtrip(cfg: RunConfig, predictor):
     rng = np.random.default_rng(cfg.seed)
     draws = cfg.problem.sample_x0(cfg.x_T, cfg.n_trajectories, rng)
     rows = []
-    worst = 0.0
     for i in range(cfg.n_trajectories):
         x0 = draws[i]
         eps = encode(cfg.schedule, predictor, x0, cfg.x_T, cfg.grid)
         x_rec = decode(cfg.schedule, predictor, eps, cfg.x_T, cfg.grid)
         rel = float(np.linalg.norm(x_rec - x0) / max(np.linalg.norm(x0), 1.0))
-        worst = max(worst, rel)
         rows.append([i, rel])
     header = ["traj_id", "recon_rel_err"]
-    return "roundtrip.csv", header, rows, {"max_recon_rel_err": worst}
+    return "roundtrip.csv", header, rows, {"max_recon_rel_err": float(np.max([rel for _, rel in rows]))}
 
 
 def _exp_interpolate(cfg: RunConfig, predictor):

@@ -23,8 +23,8 @@ Each step is written once.  The boot step lives only in the engine (a boot
 from a chosen noise is ``decode`` on the one-step grid (t_{N−1}, T)); the
 dbim1 update's guarded public form is
 :func:`~bridgekit.bridge.inference_kernel_mean_var`; the dbim2/dbim3 update
-calls :func:`taylor_integral`.  Every entry rejects a grid with fewer than
-two times or whose times do not strictly increase.
+calls :func:`taylor_integral`.  Every entry rejects a grid not ending at the
+schedule's horizon; a short or unordered ``TimeGrid`` cannot be built.
 
 One engine runs every forward chain: it advances the whole (n_traj, d)
 batch one grid step at a time on the calling thread, with one predictor
@@ -182,8 +182,8 @@ def _noise(philox: _Philox, tag: int, step: int, chunk: int, out: np.ndarray) ->
 class _GridCoeffs:
     """Bridge coefficients at every grid time, as Python floats; lam[N] = −inf.
 
-    ``build`` checks the grid for every engine entry and the config loader:
-    at least two strictly increasing times, the last at the schedule's horizon.
+    ``build`` rejects, for every engine entry and the config loader, a grid not
+    ending at the schedule's horizon (``TimeGrid`` rejects short or unordered ones).
     The engine and ``encode`` index these tuples: indexing a tuple is cheaper
     than making a numpy scalar, and the arithmetic is the same.
     """
@@ -196,23 +196,17 @@ class _GridCoeffs:
 
     @classmethod
     def build(cls, schedule: NoiseSchedule, grid: TimeGrid) -> "_GridCoeffs":
-        times = grid.times
-        if len(times) < 2:
-            raise InvalidGridParams(f"a grid needs at least two times, got {len(times)}")
-        for lo, hi in zip(times, times[1:]):
-            if not lo < hi:
-                raise InvalidGridParams(f"grid times must strictly increase, got {lo} then {hi}")
-        if not math.isclose(grid.t_max, schedule.horizon, rel_tol=0.0, abs_tol=0.0):
+        if grid.t_max != schedule.horizon:
             raise InvalidGridParams(
                 f"grid t_max={grid.t_max} must equal the schedule horizon {schedule.horizon}"
             )
         ks = [coeffs(schedule, t) for t in grid.times]
         return cls(
             times=grid.times,
-            a=tuple(k.a for k in ks),
-            b=tuple(k.b for k in ks),
-            c=tuple(k.c for k in ks),
-            lam=tuple(k.lam for k in ks),
+            a=tuple([k.a for k in ks]),
+            b=tuple([k.b for k in ks]),
+            c=tuple([k.c for k in ks]),
+            lam=tuple([k.lam for k in ks]),
         )
 
 
@@ -350,20 +344,22 @@ class _CountingPredictor:
         return getattr(self.predictor, name)
 
 
-def _run_chunk(method, gc, rhos, schedule, predictor, xT, eps_boot, normals, record):
+def _run_chunk(method, grid, eta, schedule, predictor, xT, eps_boot, normals, record):
     """Carry boot noises ``eps_boot`` (shape (n, d), or (d,) for one state) from T to t_0.
 
     The whole batch advances one grid step at a time, with one predictor
-    call per step (two for Heun).  ``rhos`` are the dbim1 per-step standard
-    deviations.  Per-step noise comes from ``normals(tag, step, shape)``, or
-    ``normals`` is None for a run that draws none: dbim1 asks for
-    ``(_STEP_TAG, i − 1)`` on each step leaving t_i whose ρ_{i−1} is
-    positive, and Euler–Maruyama for ``(_STEP_TAG, i)`` on every step.
+    call per step (two for Heun).  It builds the coefficient table and, for
+    dbim1, ρ as ``make_rhos`` gives it at ``eta``.  Per-step noise comes from
+    ``normals(tag, step, shape)`` (None for a run that draws none): dbim1
+    asks for ``(_STEP_TAG, i − 1)`` on each step leaving t_i whose ρ_{i−1}
+    is positive, and Euler–Maruyama for ``(_STEP_TAG, i)`` on every step.
     Returns ``(terminal, predictor calls per trajectory, states)``, where
     ``states`` lists the state at every grid time below T when ``record`` is
     set and is None otherwise.
     """
-    N = len(gc.times) - 1
+    gc = _GridCoeffs.build(schedule, grid)
+    rhos = make_rhos(schedule, grid, eta).rhos if method is Method.DBIM1 else None
+    N = grid.n_steps
     _prepare(predictor, gc.times)
     pred = _CountingPredictor(predictor)
     a, b, c, lam = gc.a, gc.b, gc.c, gc.lam
@@ -446,12 +442,10 @@ def sample_batch(
     the calling thread.
     """
     xT = np.asarray(xT, dtype=float)
-    gc = _GridCoeffs.build(schedule, config.grid)
-    rhos = make_rhos(schedule, config.grid, config.eta).rhos if config.method is Method.DBIM1 else None
     philox = _Philox(config.seed)
     boot = philox.normals(_BOOT_TAG, 0, (n_traj, xT.shape[0]))
     terminal, calls, states = _run_chunk(
-        config.method, gc, rhos, schedule, predictor, xT, boot, philox.normals, record
+        config.method, config.grid, config.eta, schedule, predictor, xT, boot, philox.normals, record
     )
     if record:
         return terminal, boot, calls, np.stack(states, axis=0)
@@ -495,12 +489,10 @@ def simulate_inference_chain(
     """
     x0 = np.asarray(x0, dtype=float)
     xT = np.asarray(xT, dtype=float)
-    gc = _GridCoeffs.build(schedule, grid)
-    rhos = make_rhos(schedule, grid, eta).rhos
     true_x0 = SimpleNamespace(predict=lambda x, t, x_T: x0)
     boot = rng.standard_normal((n_traj, x0.shape[0]))
     _, _, states = _run_chunk(
-        Method.DBIM1, gc, rhos, schedule, true_x0, xT, boot,
+        Method.DBIM1, grid, eta, schedule, true_x0, xT, boot,
         lambda tag, step, shape: rng.standard_normal(shape), True,
     )
     return dict(zip(reversed(grid.times[:-1]), states))
@@ -520,9 +512,8 @@ def decode(
 ) -> np.ndarray:
     """Deterministic (η = 0) generation from a given booting noise."""
     xT = np.asarray(xT, dtype=float)
-    gc = _GridCoeffs.build(schedule, grid)
     eps = np.asarray(eps, dtype=float)
-    x, _, _ = _run_chunk(Method.DBIM1, gc, (0.0,) * grid.n_steps, schedule, predictor, xT, eps, None, False)
+    x, _, _ = _run_chunk(Method.DBIM1, grid, 0.0, schedule, predictor, xT, eps, None, False)
     return x
 
 

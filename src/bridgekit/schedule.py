@@ -253,9 +253,18 @@ class GridKind(enum.Enum):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing times t_0 < … < t_N with t_0 = t_min and t_N = t_max."""
+    """Strictly increasing times t_0 < … < t_N (N ≥ 1) as Python floats, checked on construction."""
 
     times: tuple[float, ...]
+
+    def __post_init__(self):
+        times = tuple(map(float, self.times))
+        if len(times) < 2:
+            raise InvalidGridParams(f"a grid needs at least two times, got {len(times)}")
+        for n, (lo, hi) in enumerate(zip(times, times[1:])):
+            if not lo < hi:  # name one pair, never the tuple: a grid may hold 10⁶ times
+                raise InvalidGridParams(f"grid times must strictly increase, got t_{n} = {lo}, t_{n + 1} = {hi}")
+        object.__setattr__(self, "times", times)
 
     @property
     def n_steps(self) -> int:
@@ -301,8 +310,7 @@ def make_grid(
         else:
             if not t_min < top:
                 raise InvalidGridParams(f"need t_min < t_max - boot_gap, got {t_min} >= {top}")
-            inner = np.linspace(t_min, top, n_steps)
-            times = tuple(float(v) for v in inner) + (float(t_max),)
+            times = (*np.linspace(t_min, top, n_steps), t_max)
     elif kind is GridKind.EDM_POWER:
         kappa = float(edm_exponent)
         if kappa <= 0.0:
@@ -311,13 +319,8 @@ def make_grid(
         lo = t_min ** (1.0 / kappa)
         idx = np.arange(n_steps + 1)
         desc = (hi + (idx / n_steps) * (lo - hi)) ** kappa
-        times = tuple(float(v) for v in desc[::-1])
-        times = times[:-1] + (float(t_max),)
-        times = (float(t_min),) + times[1:]
+        # both ends exactly t_min and t_max; TimeGrid makes every time a Python float
+        times = (t_min, *desc[::-1][1:-1], t_max)
     else:  # pragma: no cover - enum is closed
         raise InvalidGridParams(f"unknown grid kind {kind}")
-
-    arr = np.asarray(times)
-    if not np.all(np.diff(arr) > 0.0):
-        raise InvalidGridParams("grid times are not strictly increasing")
     return TimeGrid(times)

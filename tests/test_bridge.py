@@ -136,6 +136,12 @@ class TestInferenceKernel:
                 BB, 0.1, np.zeros(1), np.zeros(1), np.zeros(1), 0.5, 1.0
             )
 
+    def test_step_must_go_down_the_grid(self):
+        x = np.array([0.3])
+        for t_next in (0.5, 0.25):
+            with pytest.raises(InvalidGridParams, match="need t_next > t_n"):
+                inference_kernel_mean_var(BB, 0.1, x, x, x, 0.5, t_next)
+
     def test_rho_above_c_rejected(self):
         # the check has a 1e-12 relative slack
         c = coeffs(BB, 0.25).c
@@ -180,6 +186,10 @@ class TestMarkovCoefficient:
     def test_zero_rho_rejected(self):
         with pytest.raises(ZeroRho):
             markov_x0_coefficient(BB, 0.0, 0.25, 0.5)
+
+    def test_step_out_of_the_horizon_rejected(self):
+        with pytest.raises(InitialStepSingularity):
+            markov_x0_coefficient(BB, 0.1, 0.5, 1.0)
 
 
 class TestVariationalWeight:

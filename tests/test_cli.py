@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bridgekit.cli
 import bridgekit.schedule
 from bridgekit import fit_order
 from bridgekit.cli import _EXPERIMENTS, EXPERIMENTS, MAX_BATCH_ENTRIES, load_config, main, run, selftest
@@ -813,6 +814,55 @@ class TestDeterminism:
         out = tmp_path / "o"
         assert main(["run", "--config", str(write_config(tmp_path, base_config())), "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: sample: non-finite metric")
+        assert not out.exists()
+
+    # a NaN in one row reaches the max_* metric that aggregates it, so the run
+    # exits 3 and writes nothing; Python's max(worst, nan) would keep worst
+    def test_nan_row_in_roundtrip_exits_3(self, tmp_path):
+        # x_T = 1e200 overflows the reconstruction into NaN; a subprocess, since
+        # filterwarnings = error would turn the overflow into an exception here
+        cfg_raw = experiment_config(
+            "roundtrip", seed=5, n_trajectories=10,
+            grid={"kind": "uniform_boot", "n_steps": 12, "t_min": 1e-3, "boot_gap": 1e-3},
+        )
+        cfg_raw["problem"]["x_T"] = [1e200, 1e200]
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bridgekit.cli", "run", "--config", str(write_config(tmp_path, cfg_raw)),
+             "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert "numerical failure: roundtrip: non-finite metric" in proc.stderr
+        assert not out.exists()
+
+    def test_nan_state_in_marginals_exits_3(self, tmp_path, monkeypatch):
+        chain = bridgekit.cli.simulate_inference_chain
+
+        def one_nan(*args):
+            states = chain(*args)
+            states[sorted(states)[3]][0, 0] = math.nan
+            return states
+
+        monkeypatch.setattr(bridgekit.cli, "simulate_inference_chain", one_nan)
+        out = tmp_path / "o"
+        cfg_raw = experiment_config("marginals", n_trajectories=20)
+        assert main(["run", "--config", str(write_config(tmp_path, cfg_raw)), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_nan_drift_in_drift_check_exits_3(self, tmp_path, monkeypatch):
+        drift = bridgekit.cli.drift_dbim
+        calls = []
+
+        def nan_at_second_point(*args):
+            calls.append(args)
+            d = drift(*args)
+            return np.full_like(d, math.nan) if len(calls) == 2 else d
+
+        monkeypatch.setattr(bridgekit.cli, "drift_dbim", nan_at_second_point)
+        out = tmp_path / "o"
+        cfg_raw = experiment_config("drift-check", options={"n_points": 5})
+        assert main(["run", "--config", str(write_config(tmp_path, cfg_raw)), "--out", str(out)]) == 3
         assert not out.exists()
 
 

@@ -50,6 +50,9 @@ class TestGaussianKL:
         with pytest.raises(SingularCovariance):
             gaussian_kl([0.0], [[1.0]], [0.0], [[0.0]])
 
+    def test_singular_source_is_infinite(self):
+        assert gaussian_kl([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], np.eye(2)) == np.inf
+
 
 class TestWasserstein:
     def test_identical_is_zero(self):

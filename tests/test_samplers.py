@@ -32,6 +32,8 @@ from bridgekit import (
     taylor_integral,
 )
 from bridgekit.errors import (
+    BridgekitError,
+    DegenerateCoefficient,
     InitialStepSingularity,
     InvalidGridParams,
     NonpositiveStep,
@@ -316,6 +318,11 @@ class TestDrifts:
             )
             assert worst <= 1e-9
 
+    @pytest.mark.parametrize("drift", [drift_dbim, drift_pfode])
+    def test_undefined_at_the_horizon(self, drift):
+        with pytest.raises(DegenerateCoefficient, match="c=0"):
+            drift(BB, ORACLE1, np.array([0.5]), 1.0, np.array([1.0]))
+
     def test_drift_keeps_mean_trajectory(self):
         # at the marginal mean with the exact predictor the drift equals the
         # time derivative of t -> a_t x_T + b_t m (central differences)
@@ -475,6 +482,11 @@ class TestEncodeDecode:
             rec = decode(BB, oracle, encode(BB, oracle, x0, xT, grid), xT, grid)
             assert np.linalg.norm(rec - x0) <= 1e-12 * np.linalg.norm(x0)
 
+    def test_encode_requires_linearize(self):
+        xT = np.array([1.0])
+        with pytest.raises(BridgekitError, match="linearize"):
+            encode(BB, ConstantPredictor([0.2]), np.array([0.3]), xT, grid_of(4))
+
     def test_batch_and_threads_agree(self):
         grid = grid_of(10)
         xT = np.array([1.0, -1.0])
@@ -516,26 +528,27 @@ class TestPowerGridSampling:
         with pytest.raises(InvalidGridParams):
             run_sampler(cfg, BB, ORACLE1, np.array([1.0]))
 
-    @pytest.mark.parametrize(
-        "times", [(0.5, 0.3, 1.0), (1.0, 1.0), (1.0,)], ids=["unordered", "repeated", "one_time"]
-    )
+    @pytest.mark.parametrize("times, message", [
+        pytest.param((0.5, 0.3, 1.0), r"must strictly increase, got t_0 = 0\.5, t_1 = 0\.3$", id="unordered"),
+        pytest.param((1.0, 1.0), r"must strictly increase, got t_0 = 1\.0, t_1 = 1\.0$", id="repeated"),
+        pytest.param((1.0,), r"needs at least two times, got 1$", id="one_time"),
+    ])
     @pytest.mark.parametrize("entry", ["sample_batch", "decode", "encode", "simulate_inference_chain"])
-    def test_grid_must_strictly_increase(self, entry, times):
-        # every such grid ends at the horizon, so only the order check can reject it
-        grid = TimeGrid(times)
+    def test_grid_must_strictly_increase(self, entry, times, message):
+        # every such grid ends at the horizon; TimeGrid rejects it as it is built, before the entry runs
         xT = np.array([1.0])
         runs = {
             "sample_batch": lambda: sample_batch(
-                SamplerConfig(Method.DBIM1, grid, seed=0), BB, ORACLE1, xT, 3
+                SamplerConfig(Method.DBIM1, TimeGrid(times), seed=0), BB, ORACLE1, xT, 3
             ),
-            "decode": lambda: decode(BB, ORACLE1, np.zeros(1), xT, grid),
-            "encode": lambda: encode(BB, ORACLE1, PROB1.mean_given_endpoint(xT), xT, grid),
+            "decode": lambda: decode(BB, ORACLE1, np.zeros(1), xT, TimeGrid(times)),
+            "encode": lambda: encode(BB, ORACLE1, PROB1.mean_given_endpoint(xT), xT, TimeGrid(times)),
             "simulate_inference_chain": lambda: simulate_inference_chain(
-                BB, grid, 0.0, np.zeros(1), xT, 3,
+                BB, TimeGrid(times), 0.0, np.zeros(1), xT, 3,
                 np.random.default_rng(0),
             ),
         }
-        with pytest.raises(InvalidGridParams, match="at least two times|strictly increase"):
+        with pytest.raises(InvalidGridParams, match=message):
             runs[entry]()
 
 
@@ -552,10 +565,8 @@ class TestNoiseProtocol:
             return np.ones(shape)
 
         grid = grid_of(self.N)
-        gc = samplers._GridCoeffs.build(BB, grid)
-        rhos = make_rhos(BB, grid, eta).rhos
-        samplers._run_chunk(method, gc, rhos, BB, ORACLE1, np.array([1.0]), np.zeros((3, 1)), normals, False)
-        return calls, rhos
+        samplers._run_chunk(method, grid, eta, BB, ORACLE1, np.array([1.0]), np.zeros((3, 1)), normals, False)
+        return calls, make_rhos(BB, grid, eta).rhos
 
     @pytest.mark.parametrize("eta", [0.3, 1.0])
     def test_dbim1_draws_each_step_from_the_top_down(self, eta):
@@ -596,6 +607,11 @@ class TestSlerp:
         b = np.array([0.0, 1.0])
         mid = slerp_interpolate(a, b, 0.5)
         np.testing.assert_allclose(np.linalg.norm(mid), 1.0, rtol=1e-14)
+
+    def test_parallel_endpoints_interpolate_linearly(self):
+        # θ = 0, where the slerp weights are 0/0
+        a = np.array([3.0, 4.0])
+        assert np.array_equal(slerp_interpolate(a, 2 * a, 0.5), 1.5 * a)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):

@@ -4,6 +4,7 @@ High-precision expected values were computed independently with 50-digit
 arithmetic (mpmath) by direct substitution into the closed forms.
 """
 
+import json
 import math
 
 import numpy as np
@@ -12,11 +13,13 @@ import pytest
 from bridgekit import (
     GridKind,
     NoiseSchedule,
+    TimeGrid,
     coeffs,
     lambda_of,
     make_grid,
     time_of_lambda,
 )
+from bridgekit.cli import main
 from bridgekit.errors import (
     DegenerateCoefficient,
     InvalidGridParams,
@@ -187,6 +190,25 @@ class TestGrids:
             make_grid(GridKind.UNIFORM_WITH_BOOT_STEP, 5, t_min=0.9999, t_max=1.0, boot_gap=1e-4)
         with pytest.raises(InvalidGridParams):
             make_grid(GridKind.EDM_POWER, 5, t_min=0.1, t_max=1.0, edm_exponent=-1.0)
+
+    def test_time_grid_is_valid_by_construction(self, tmp_path):
+        for times, pair in (((0.5, 0.3, 1.0), "t_0 = 0.5, t_1 = 0.3"), ((1.0, 1.0), "t_0 = 1.0, t_1 = 1.0"),
+                            ((1.0,), "at least two times, got 1")):
+            with pytest.raises(InvalidGridParams, match=pair):
+                TimeGrid(times)
+        grid = TimeGrid([np.float64(0.25), np.float64(1.0)])
+        assert grid.times == (0.25, 1.0) and type(grid.times) is tuple
+        assert all(type(t) is float for t in grid.times)
+        # at horizon 1e300, t_max − boot_gap rounds to t_max: make_grid cannot order the grid
+        cfg = {
+            "schedule": {"kind": "brownian_bridge", "horizon": 1e300},
+            "problem": {"mix": [[0.2]], "offset": [0.4], "cov": [[1.0]], "x_T": [1.0]},
+            "grid": {"n_steps": 4}, "sampler": {"method": "dbim1"}, "experiment": "sample",
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestScheduleValidation:
