@@ -21,8 +21,9 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,6 +55,9 @@ from .schedule import GridKind, NoiseSchedule, TimeGrid, coeffs, make_grid
 # array) and steps per grid, including every n_steps_sweep entry
 MAX_BATCH_ENTRIES = 2 ** 25
 MAX_STEPS = 10 ** 6
+# rows per formatting call of _write_csv: bounds its temporary string to
+# tens of KB
+_CSV_BLOCK = 1024
 
 
 @dataclass
@@ -319,17 +323,30 @@ def _typed_options(options: dict, dim: int) -> dict:
     return options
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[Sequence]) -> None:
     """Write comma-joined ``str`` fields, one ``\r\n``-terminated line per row.
 
     These are the bytes the ``csv`` module writes for this data: it writes a
     Python float as its ``repr``, which equals its ``str``, and no header or
     string field here needs quoting.  Rows must hold Python scalars
     (``tolist``/``float``), as an ``np.float64`` would print its own way.
+
+    Each block of ``_CSV_BLOCK`` rows is formatted by one ``%`` call on a
+    template of one ``%s`` per field (``%s`` is ``str``).  A template takes
+    its fields in order, so a row of another width would shift the fields
+    of every later row: rows must be rectangular, ``len(header)`` fields
+    each, or ``ValueError`` is raised before the file is opened.
     """
+    width = len(header)
+    widths = set(map(len, rows))
+    if widths - {width}:
+        raise ValueError(f"every CSV row needs {width} fields, got rows of {sorted(widths)}")
+    line = ",".join(["%s"] * width) + "\r\n"
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+        for lo in range(0, len(rows), _CSV_BLOCK):
+            block = rows[lo:lo + _CSV_BLOCK]
+            fh.write(line * len(block) % tuple(chain.from_iterable(block)))
 
 
 def _predictor(cfg: RunConfig):
@@ -346,7 +363,7 @@ def _exp_sample(cfg: RunConfig, predictor):
     scfg = SamplerConfig(cfg.method, cfg.grid, cfg.seed, cfg.eta)
     terminal, _, _ = sample_batch(scfg, cfg.schedule, predictor, cfg.x_T, cfg.n_trajectories)
     header = ["traj_id"] + [f"coord_{i}" for i in range(cfg.problem.dim)]
-    rows = [[i, *row] for i, row in enumerate(terminal.tolist())]
+    rows = list(zip(range(len(terminal)), *terminal.T.tolist()))
     metrics = {
         "terminal_mean_norm": float(np.linalg.norm(terminal.mean(axis=0))),
         "terminal_mean_var": float(terminal.var(axis=0, ddof=1).mean()),

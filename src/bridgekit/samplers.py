@@ -184,6 +184,9 @@ class _GridCoeffs:
 
     ``build`` rejects, for every engine entry and the config loader, a grid not
     ending at the schedule's horizon (``TimeGrid`` rejects short or unordered ones).
+    It keeps the last table it built and returns it again for an equal
+    (schedule, grid), so the loader, the engine and every ``encode``/``decode``
+    of a run share one table; a build that raises keeps nothing.
     The engine and ``encode`` index these tuples: indexing a tuple is cheaper
     than making a numpy scalar, and the arithmetic is the same.
     """
@@ -196,18 +199,28 @@ class _GridCoeffs:
 
     @classmethod
     def build(cls, schedule: NoiseSchedule, grid: TimeGrid) -> "_GridCoeffs":
+        global _last_grid_coeffs
+        key = (schedule, grid)
+        if _last_grid_coeffs is not None and _last_grid_coeffs[0] == key:
+            return _last_grid_coeffs[1]
         if grid.t_max != schedule.horizon:
             raise InvalidGridParams(
                 f"grid t_max={grid.t_max} must equal the schedule horizon {schedule.horizon}"
             )
         ks = [coeffs(schedule, t) for t in grid.times]
-        return cls(
+        table = cls(
             times=grid.times,
             a=tuple([k.a for k in ks]),
             b=tuple([k.b for k in ks]),
             c=tuple([k.c for k in ks]),
             lam=tuple([k.lam for k in ks]),
         )
+        _last_grid_coeffs = (key, table)
+        return table
+
+
+# ((schedule, grid), table) of the last _GridCoeffs.build, or None
+_last_grid_coeffs: tuple[tuple[NoiseSchedule, TimeGrid], _GridCoeffs] | None = None
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import copy
 import csv
 import dataclasses
 import inspect
+import io
 import json
 import math
 import subprocess
@@ -19,9 +20,12 @@ from hypothesis import strategies as st
 
 import bridgekit.cli
 import bridgekit.schedule
-from bridgekit import fit_order
-from bridgekit.cli import _EXPERIMENTS, EXPERIMENTS, MAX_BATCH_ENTRIES, load_config, main, run, selftest
-from bridgekit.errors import ConfigInvalid
+from bridgekit import fit_order, samplers
+from bridgekit.cli import (
+    _CSV_BLOCK, _EXPERIMENTS, EXPERIMENTS, MAX_BATCH_ENTRIES, _write_csv, load_config, main, run, selftest,
+)
+from bridgekit.errors import ConfigInvalid, InvalidGridParams
+from bridgekit.schedule import NoiseSchedule, TimeGrid
 from bridgekit.oracle import GaussianOracle
 
 
@@ -864,6 +868,84 @@ class TestDeterminism:
         cfg_raw = experiment_config("drift-check", options={"n_points": 5})
         assert main(["run", "--config", str(write_config(tmp_path, cfg_raw)), "--out", str(out)]) == 3
         assert not out.exists()
+
+
+# floats whose repr is unusual: signed zero, the least subnormal, the
+# exponent switch points, the largest finite doubles, inf and nan
+_CSV_FLOATS = st.sampled_from([-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, -1.7976931348623157e308,
+                               math.inf, -math.inf, math.nan]) | st.floats()
+# csv quotes a field holding a comma, a quote or a line break, and a lone
+# empty field; no field of this program's output is such a string
+_CSV_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=',"'), min_size=1)
+
+
+class TestCsvWriter:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        width=st.integers(1, 4),
+        n_rows=st.sampled_from([0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1]) | st.integers(0, 5),
+        data=st.data(),
+    )
+    def test_same_bytes_as_the_csv_module(self, width, n_rows, data):
+        # a few drawn rows, repeated under a row number so that every line differs
+        fields = st.lists(st.integers() | _CSV_FLOATS | _CSV_TEXT, min_size=width, max_size=width)
+        pool = data.draw(st.lists(fields, min_size=1, max_size=8))
+        rows = [(i, *pool[i % len(pool)]) for i in range(n_rows)]
+        header = ["id"] + [f"f{j}" for j in range(width)]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.csv"
+            _write_csv(path, header, rows)
+            assert path.read_bytes() == expected.getvalue().encode("ascii")
+
+    def test_ragged_row_raises_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="2 fields"):
+            _write_csv(path, ["a", "b"], [[1, 2.0], [3], [4, 5.0]])
+        assert not path.exists()
+
+
+class TestCoefficientTable:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The tables constructed from here on, with no table kept from before."""
+        tables = []
+        init = samplers._GridCoeffs.__init__
+
+        def counting_init(table, *args, **kwargs):
+            init(table, *args, **kwargs)
+            tables.append(table)
+
+        monkeypatch.setattr(samplers._GridCoeffs, "__init__", counting_init)
+        monkeypatch.setattr(samplers, "_last_grid_coeffs", None)
+        return tables
+
+    # encode and decode of every roundtrip draw reuse the table load_config built
+    @pytest.mark.parametrize("experiment,n", [("roundtrip", 5), ("sample", 4)])
+    def test_load_and_run_build_one_table(self, tmp_path, builds, experiment, n):
+        cfg = load_config(experiment_config(experiment, n_trajectories=n), out_override=str(tmp_path / "o"))
+        assert run(cfg) == 0
+        assert len(builds) == 1
+
+    def test_last_table_only_is_kept(self, builds):
+        sched = NoiseSchedule.brownian_bridge(1.0, 1.0)
+        first, second = TimeGrid((0.1, 0.5, 1.0)), TimeGrid((0.2, 1.0))
+        table = samplers._GridCoeffs.build(sched, first)
+        # equal, not identical, keys hit
+        assert samplers._GridCoeffs.build(NoiseSchedule.brownian_bridge(1.0, 1.0), TimeGrid(first.times)) is table
+        samplers._GridCoeffs.build(sched, second)
+        assert samplers._GridCoeffs.build(sched, first) == table
+        assert len(builds) == 3
+
+    def test_failed_build_raises_every_time(self, builds):
+        sched = NoiseSchedule.brownian_bridge(1.0, 1.0)
+        for _ in range(2):
+            with pytest.raises(InvalidGridParams, match="horizon"):
+                samplers._GridCoeffs.build(sched, TimeGrid((0.1, 0.5)))
+        assert builds == []
 
 
 class TestSelftest:
