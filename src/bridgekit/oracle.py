@@ -18,13 +18,13 @@ batch, so each per-row constant enters as a same-shape operand: the values
 are those of the (d,)-vector broadcast, bit for bit, without numpy running
 one inner loop of length d per row.
 
-The gain b S (b² S + c² I)⁻¹ depends on t only through (b_t, c_t), so it is
-cached per pair.  ``GaussianOracle.prepare(times)`` solves the gains of a
-whole timestep grid before a sampler's step loop: it forms the systems as
-stacked arrays, in blocks of bounded size, and solves each with one LAPACK
-``dposv`` call, so each step's ``predict`` finds its gain in the cache.
-Predictors are not required to have ``prepare``; the samplers call it when
-it exists.
+The oracle keeps one capped table t → (a_t, b_t, gain b S (b² S + c² I)⁻¹,
+None where c = 0).  ``prepare(table)``, which the samplers call before the
+step loop, fills it from their coefficient table of the grid: it forms the
+systems as stacked arrays, in blocks of bounded size, and solves each with
+one LAPACK ``dposv`` call.  ``predict`` and ``linearize`` share one miss
+path, ``coeffs`` and ``_gain``'s single solve, for a time not prepared: a
+predictor need not have ``prepare``; the samplers call it when it exists.
 
 ``dposv`` is loaded straight from scipy's ``linalg/_flapack`` extension
 module, the one ``scipy.linalg.lapack`` re-exports, so importing the oracle
@@ -56,7 +56,7 @@ from .schedule import NoiseSchedule, coeffs
 
 _MAX_DIM = 64
 _JITTER = 1e-10
-# the gain cache holds at most this many entries and, at d×d doubles per
+# the per-time table holds at most this many entries and, at d×d doubles per
 # gain, at most _GAIN_CACHE_DOUBLES doubles (128 MB): 4 096 entries at d=64
 _GAIN_CACHE_MAX = 65536
 _GAIN_CACHE_DOUBLES = 1 << 24
@@ -187,13 +187,13 @@ class GaussianOracle:
     Deterministic and pure; accepts states of shape (d,) or batched (B, d).
     ``linearize`` exposes the affine map x ↦ P x + q of ``predict`` at a
     fixed (t, x_T), which the deterministic encoder inverts step by step.
-    ``prepare`` fills the gain cache for a list of times ahead of use.
+    ``prepare`` fills the per-time table from a grid's coefficient table.
     """
 
     def __init__(self, problem: GaussianBridgeProblem, schedule: NoiseSchedule):
         self.problem = problem
         self.schedule = schedule
-        self._gain_cache: dict[tuple[float, float], np.ndarray] = {}
+        self._by_time: dict[float, tuple[float, float, np.ndarray | None]] = {}
         self._cache_cap = min(_GAIN_CACHE_MAX, _GAIN_CACHE_DOUBLES // problem.dim ** 2)
         self._eye = np.eye(problem.dim)
         self._jittered_cov = problem.cov + _JITTER * self._eye
@@ -206,12 +206,11 @@ class GaussianOracle:
         if x.shape[-1] != self.problem.dim:
             raise DimensionMismatch(f"state dim {x.shape[-1]} != {self.problem.dim}")
         xT_tile, m_tile = self._endpoint_tiles(xT, x.shape)
-        k = coeffs(self.schedule, t)
-        if k.c == 0.0:
+        a, b, gain = self._at(t)
+        if gain is None:
             # pinned endpoint: x carries no information beyond x_T
             return m_tile.copy()
-        gain = self._gain(k.b, k.c)
-        residual = x - k.a * xT_tile - k.b * m_tile
+        residual = x - a * xT_tile - b * m_tile
         return m_tile + residual @ gain.T
 
     def _endpoint_tiles(self, xT: np.ndarray, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -232,46 +231,46 @@ class GaussianOracle:
         """Affine decomposition predict(x) = P x + q at fixed (t, x_T)."""
         xT = np.asarray(xT, dtype=float)
         _, m = self._endpoint_tiles(xT, xT.shape)
-        k = coeffs(self.schedule, t)
-        if k.c == 0.0:
+        a, b, P = self._at(t)
+        if P is None:
             return np.zeros((self.problem.dim,) * 2), m.copy()
-        P = self._gain(k.b, k.c)
-        q = m - P @ (k.a * xT + k.b * m)
-        return P, q
+        return P, m - P @ (a * xT + b * m)
 
-    def prepare(self, times) -> None:
-        """Solve and cache the gain of every time in ``times`` in one pass.
+    def prepare(self, table) -> None:
+        """Fill the per-time table with the (a, b, c) of ``table`` and their gains.
 
-        Times where c = 0 need no gain and are skipped, as are systems that
-        fail to solve: ``_gain`` raises for those if they are ever asked
-        for.  Gains already cached are not solved again, and the cache stops
-        growing at its cap.
+        Skips a table of another schedule, times where c = 0 or held already
+        and systems that fail to solve, and stops at the cap: ``_at`` serves the rest.
         """
-        pairs = {}
-        for t in times:
-            k = coeffs(self.schedule, t)
-            if k.c != 0.0 and (k.b, k.c) not in self._gain_cache:
-                pairs[(k.b, k.c)] = None
-        pending = list(pairs)[:self._cache_cap - len(self._gain_cache)]
+        if table.schedule != self.schedule:
+            return
+        held = self._by_time
+        todo = [n for n, t in enumerate(table.times) if table.c[n] != 0.0 and t not in held]
+        todo = todo[:self._cache_cap - len(held)]
         block = max(_STACK_ELEMS // self.problem.dim ** 2, 1)
-        for lo in range(0, len(pending), block):
-            keys = pending[lo:lo + block]
-            for key, (gain, info) in zip(keys, self._solve(keys)):
+        for lo in range(0, len(todo), block):
+            rows = todo[lo:lo + block]
+            for n, (gain, info) in zip(rows, self._solve([(table.b[n], table.c[n]) for n in rows])):
                 if info == 0:
-                    self._gain_cache[key] = gain
+                    held[table.times[n]] = (table.a[n], table.b[n], gain)
+
+    def _at(self, t: float) -> tuple[float, float, np.ndarray | None]:
+        """(a_t, b_t, gain) from the per-time table; on a miss, by ``coeffs`` and ``_gain``."""
+        entry = self._by_time.get(t)
+        if entry is None:
+            k = coeffs(self.schedule, t)
+            entry = (k.a, k.b, self._gain(k.b, k.c) if k.c != 0.0 else None)
+            if len(self._by_time) < self._cache_cap:
+                self._by_time[t] = entry
+        return entry
 
     def _gain(self, b: float, c: float) -> np.ndarray:
-        """b S (b² S + c² I)⁻¹ via Cholesky with jitter on S; cached per (b, c)."""
-        cached = self._gain_cache.get((b, c))
-        if cached is not None:
-            return cached
+        """b S (b² S + c² I)⁻¹ by one solve; raises where the system does not solve."""
         (gain, info), = self._solve([(b, c)])
         if info > 0:
             raise SingularSystem(f"conditioning system singular at b={b}, c={c}")
         if info < 0:
             raise BridgekitError(f"LAPACK rejected argument {-info} of the gain solve at b={b}, c={c}")
-        if len(self._gain_cache) < self._cache_cap:
-            self._gain_cache[(b, c)] = gain
         return gain
 
     def _solve(self, pairs: list[tuple[float, float]]) -> list[tuple[np.ndarray, int]]:
@@ -318,5 +317,5 @@ class PerturbedOracle:
         P, q = self.base.linearize(t, xT)
         return P, q + self.bias
 
-    def prepare(self, times) -> None:
-        self.base.prepare(times)
+    def prepare(self, table) -> None:
+        self.base.prepare(table)

@@ -38,13 +38,12 @@ row's noise does not depend on the batch size.  ``decode`` passes None,
 and ``simulate_inference_chain`` (dbim1 with the true x₀ as its
 prediction) passes draws from a numpy generator.
 
-Work that depends only on the grid is done once per run.  Before the step
-loop the engine (and ``encode``) calls the predictor's optional
-``prepare(times)`` hook with the grid times; ``GaussianOracle`` uses it to
-solve every conditioning gain up front.  The hook is not a prediction and
-is not counted as one.  The dbim3 update reuses the divided difference the
-previous step formed, and the step loop and ``encode`` read the grid
-coefficients as Python floats from one table.
+Work that depends only on the grid is done once per run: its coefficients
+are read as Python floats from one table, ``_GridCoeffs``, which the engine
+(and ``encode``) hands to a predictor's optional ``prepare(table)`` hook
+before the step loop, outside the predictor-call count.  A predictor needs
+only ``predict(x, t, xT)``, and ``encode`` also ``linearize(t, xT)``.  The
+dbim3 update reuses the divided difference the previous step formed.
 """
 
 from __future__ import annotations
@@ -180,17 +179,18 @@ def _noise(philox: _Philox, tag: int, step: int, chunk: int, out: np.ndarray) ->
 
 @dataclass(frozen=True)
 class _GridCoeffs:
-    """Bridge coefficients at every grid time, as Python floats; lam[N] = −inf.
+    """Bridge coefficients of ``schedule`` at every grid time, as Python floats; lam[N] = −inf.
 
     ``build`` rejects, for every engine entry and the config loader, a grid not
     ending at the schedule's horizon (``TimeGrid`` rejects short or unordered ones).
     It keeps the last table it built and returns it again for an equal
     (schedule, grid), so the loader, the engine and every ``encode``/``decode``
     of a run share one table; a build that raises keeps nothing.
-    The engine and ``encode`` index these tuples: indexing a tuple is cheaper
-    than making a numpy scalar, and the arithmetic is the same.
+    The engine and ``encode`` index these tuples, which is cheaper than making
+    numpy scalars, and hand the table to a predictor's ``prepare`` hook.
     """
 
+    schedule: NoiseSchedule
     times: tuple[float, ...]
     a: tuple[float, ...]
     b: tuple[float, ...]
@@ -209,6 +209,7 @@ class _GridCoeffs:
             )
         ks = [coeffs(schedule, t) for t in grid.times]
         table = cls(
+            schedule=schedule,
             times=grid.times,
             a=tuple([k.a for k in ks]),
             b=tuple([k.b for k in ks]),
@@ -330,15 +331,14 @@ def drift_pfode(schedule: NoiseSchedule, predictor, x: np.ndarray, t: float, xT:
 # ---------------------------------------------------------------------------
 
 
-def _prepare(predictor, times) -> None:
-    """Let ``predictor`` do its per-grid work for ``times`` if it has a ``prepare`` hook.
+def _prepare(predictor, table: _GridCoeffs) -> None:
+    """Hand ``predictor`` the coefficient table if it has a ``prepare`` hook.
 
-    Called on the predictor itself, not through the counter: it is not a
-    prediction.
+    Called on the predictor itself, not through the counter: it is not a prediction.
     """
     prepare = getattr(predictor, "prepare", None)
     if prepare is not None:
-        prepare(times)
+        prepare(table)
 
 
 class _CountingPredictor:
@@ -373,7 +373,7 @@ def _run_chunk(method, grid, eta, schedule, predictor, xT, eps_boot, normals, re
     gc = _GridCoeffs.build(schedule, grid)
     rhos = make_rhos(schedule, grid, eta).rhos if method is Method.DBIM1 else None
     N = grid.n_steps
-    _prepare(predictor, gc.times)
+    _prepare(predictor, gc)
     pred = _CountingPredictor(predictor)
     a, b, c, lam = gc.a, gc.b, gc.c, gc.lam
     x_hat = pred.predict(xT, gc.times[N], xT)
@@ -551,7 +551,7 @@ def encode(
     x = np.asarray(x0, dtype=float)
     xT = np.asarray(xT, dtype=float)
     gc = _GridCoeffs.build(schedule, grid)
-    _prepare(predictor, grid.times)
+    _prepare(predictor, gc)
     N = grid.n_steps
     eye = np.eye(x.shape[-1])
     for n in range(N - 1):

@@ -930,6 +930,24 @@ class TestCoefficientTable:
         assert run(cfg) == 0
         assert len(builds) == 1
 
+    # the run reads every grid coefficient from the table load_config built,
+    # so its schedule.coeffs calls do not grow with the number of steps
+    @pytest.mark.parametrize("experiment,overrides", [
+        ("sample", {"sampler": {"method": "dbim1", "eta": 1.0}, "n_trajectories": 16}),
+        ("roundtrip", {"n_trajectories": 2}),
+    ], ids=["deep_sample", "roundtrip"])
+    def test_run_coeffs_calls_do_not_grow_with_n_steps(self, tmp_path, experiment, overrides):
+        calls = []
+        for n_steps in (1000, 3000):
+            grid = {"kind": "uniform_boot", "n_steps": n_steps, "t_min": 1e-4, "boot_gap": 1e-4}
+            raw = experiment_config(experiment, grid=grid, **overrides)
+            cfg = load_config(raw, out_override=str(tmp_path / str(n_steps)))
+            before = bridgekit.schedule.coeffs.cache_info()
+            assert run(cfg) == 0
+            after = bridgekit.schedule.coeffs.cache_info()
+            calls.append(after.hits + after.misses - before.hits - before.misses)
+        assert calls[0] == calls[1]
+
     def test_last_table_only_is_kept(self, builds):
         sched = NoiseSchedule.brownian_bridge(1.0, 1.0)
         first, second = TimeGrid((0.1, 0.5, 1.0)), TimeGrid((0.2, 1.0))

@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 from bridgekit import (
     GaussianBridgeProblem,
     GaussianOracle,
+    GridKind,
     NoiseSchedule,
     PerturbedOracle,
+    TimeGrid,
     coeffs,
     forward_sample,
+    make_grid,
     marginal_at,
+    samplers,
     score_from_predictor,
 )
 from bridgekit.errors import DegenerateCoefficient, DimensionMismatch, InvalidGridParams, SingularSystem
@@ -296,8 +300,13 @@ def assert_same_array(got, want):
     assert (got.shape, got.strides) == (want.shape, want.strides)
 
 
+def grid_table(schedule, times):
+    """The samplers' coefficient table of the grid ``times``, as the engine hands it to ``prepare``."""
+    return samplers._GridCoeffs.build(schedule, TimeGrid(times))
+
+
 class TestGainTable:
-    """``prepare`` solves a grid's gains up front; they must be the on-demand bits."""
+    """``prepare`` fills the per-time table up front; its entries must be the on-demand bits."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -310,61 +319,95 @@ class TestGainTable:
         rng = np.random.default_rng(seed)
         problem = random_problem(rng, d)
         schedule = NoiseSchedule.vp() if vp else BB
-        # a random grid ending at the pinned endpoint, which needs no gain
-        times = sorted(float(t) for t in rng.uniform(1e-6, 1.0, n_times)) + [1.0]
+        # a random grid ending at the pinned endpoint, which the miss path serves
+        times = sorted({float(t) for t in rng.uniform(1e-6, 1.0, n_times)}) + [1.0]
         prepared = GaussianOracle(problem, schedule)
-        prepared.prepare(times)
+        prepared.prepare(grid_table(schedule, times))
         fresh = GaussianOracle(problem, schedule)
-        assert (coeffs(schedule, 1.0).b, 0.0) not in prepared._gain_cache
+        assert list(prepared._by_time) == times[:-1]
         for t in times[:-1]:
             k = coeffs(schedule, t)
-            got = prepared._gain_cache[(k.b, k.c)]
-            assert_same_array(got, fresh._gain(k.b, k.c))
+            entry = prepared._by_time[t]
+            a, b, got = entry
+            assert (a, b) == (k.a, k.b)
+            assert_same_array(got, fresh._at(t)[2])
             assert_same_array(got, reference_gain(problem, k.b, k.c))
-            assert prepared._gain(k.b, k.c) is got
+            assert prepared._at(t) is entry
+        assert prepared._at(1.0) == (1.0, 0.0, None)
 
     def test_blocks_and_cache_cap(self, monkeypatch):
         import bridgekit.oracle as oracle_mod
 
         rng = np.random.default_rng(21)
         problem = random_problem(rng, 3)
-        times = [0.05 * i for i in range(1, 20)]
+        times = [0.05 * i for i in range(1, 20)] + [1.0]
+        table = grid_table(BB, times)
         whole = GaussianOracle(problem, BB)
-        whole.prepare(times)
+        whole.prepare(table)
         # two systems per stacked block, so the 19 times end in a partial block
         monkeypatch.setattr(oracle_mod, "_STACK_ELEMS", 2 * 9)
         blocked = GaussianOracle(problem, BB)
-        blocked.prepare(times[:5])
-        blocked.prepare(times)
-        assert list(blocked._gain_cache) == list(whole._gain_cache)
-        for key, gain in whole._gain_cache.items():
-            assert_same_array(blocked._gain_cache[key], gain)
+        blocked.prepare(grid_table(BB, times[:5] + [1.0]))
+        blocked.prepare(table)
+        assert list(blocked._by_time) == list(whole._by_time) == times[:-1]
+        for t, (a, b, gain) in whole._by_time.items():
+            assert blocked._by_time[t][:2] == (a, b)
+            assert_same_array(blocked._by_time[t][2], gain)
         monkeypatch.setattr(oracle_mod, "_GAIN_CACHE_MAX", 7)
         capped = GaussianOracle(problem, BB)
-        capped.prepare(times)
-        assert len(capped._gain_cache) == 7
-        # a doubles budget of five 3×3 gains caps the cache below 7 entries,
-        # in prepare and in _gain alike
+        capped.prepare(table)
+        assert len(capped._by_time) == 7
+        # a doubles budget of five 3×3 gains caps the table below 7 entries,
+        # in prepare and on the miss path alike
         monkeypatch.setattr(oracle_mod, "_GAIN_CACHE_DOUBLES", 5 * 9 + 8)
         by_size = GaussianOracle(problem, BB)
-        by_size.prepare(times)
-        assert list(by_size._gain_cache) == list(whole._gain_cache)[:5]
-        k = coeffs(BB, times[-1])
-        assert_same_array(by_size._gain(k.b, k.c), whole._gain_cache[(k.b, k.c)])
-        assert len(by_size._gain_cache) == 5
+        by_size.prepare(table)
+        assert list(by_size._by_time) == times[:5]
+        assert_same_array(by_size._at(times[-2])[2], whole._by_time[times[-2]][2])
+        assert by_size._at(1.0)[2] is None
+        assert len(by_size._by_time) == 5
 
     def test_unsolvable_system_raises_only_when_asked_for(self):
         oracle = GaussianOracle(GaussianBridgeProblem.scalar(0.0, 0.0, 1.0), BB)
         # with S = −I the system b² S + c² I = c² − b² is negative at t = 0.2
         # on the Brownian bridge (b² = 0.64 > c² = 0.16)
         oracle._jittered_cov = -np.eye(1)
-        oracle.prepare([0.2, 1.0])
-        assert oracle._gain_cache == {}
-        k = coeffs(BB, 0.2)
+        oracle.prepare(grid_table(BB, [0.2, 1.0]))
+        assert oracle._by_time == {}
         with pytest.raises(SingularSystem):
-            oracle._gain(k.b, k.c)
+            oracle.predict(np.zeros(1), 0.2, np.zeros(1))
+        with pytest.raises(SingularSystem):
+            oracle.linearize(0.2, np.zeros(1))
 
     def test_perturbed_oracle_forwards_prepare(self):
         base = GaussianOracle(random_problem(np.random.default_rng(22), 2), BB)
-        PerturbedOracle(base, eps_bias=0.1, seed=1).prepare([0.25, 0.5, 1.0])
-        assert sorted(base._gain_cache) == sorted((coeffs(BB, t).b, coeffs(BB, t).c) for t in (0.25, 0.5))
+        PerturbedOracle(base, eps_bias=0.1, seed=1).prepare(grid_table(BB, [0.25, 0.5, 1.0]))
+        assert list(base._by_time) == [0.25, 0.5]
+
+    def test_table_of_another_schedule_is_ignored(self):
+        oracle = GaussianOracle(random_problem(np.random.default_rng(23), 2), BB)
+        oracle.prepare(grid_table(NoiseSchedule.vp(), [0.25, 0.5, 1.0]))
+        assert oracle._by_time == {}
+
+    @pytest.mark.parametrize("schedule", [BB, NoiseSchedule.vp(), NoiseSchedule.ve()], ids=["bb", "vp", "ve"])
+    def test_prepared_and_unprepared_give_the_same_bits(self, monkeypatch, schedule):
+        import bridgekit.oracle as oracle_mod
+
+        rng = np.random.default_rng(24)
+        problem = random_problem(rng, 3)
+        grid = make_grid(GridKind.UNIFORM_WITH_BOOT_STEP, 30, t_min=1e-3, boot_gap=1e-3)
+        # a cap of 12 entries: the prepare fills it, and the other 19 times,
+        # t = T among them, take the miss path
+        monkeypatch.setattr(oracle_mod, "_GAIN_CACHE_MAX", 12)
+        prepared = GaussianOracle(problem, schedule)
+        prepared.prepare(grid_table(schedule, grid.times))
+        assert len(prepared._by_time) == 12
+        monkeypatch.undo()
+        plain = GaussianOracle(problem, schedule)
+        xT = rng.standard_normal(3)
+        x = rng.standard_normal((5, 3))
+        for t in grid.times:
+            assert prepared.predict(x, t, xT).tobytes() == plain.predict(x, t, xT).tobytes()
+            for got, want in zip(prepared.linearize(t, xT), plain.linearize(t, xT)):
+                assert_same_array(got, want)
+        assert len(prepared._by_time) == 12

@@ -9,13 +9,26 @@ from bridgekit.cli import main
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_library_quick_start_runs(capsys):
-    section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+def run_python_block(heading):
+    """Run the first python block under ``heading`` in the README."""
+    section = README.read_text(encoding="utf-8").split(heading, 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
-    assert block is not None, "no python block under 'Library quick start'"
-    exec(compile(block.group(1), f"{README}:quick-start", "exec"), {})
+    assert block is not None, f"no python block under {heading!r}"
+    exec(compile(block.group(1), f"{README}:{heading}", "exec"), {})
+
+
+def test_library_quick_start_runs(capsys):
+    run_python_block("## Library quick start")
     # it prints the terminal state and the predictor-call count (20 steps)
     assert capsys.readouterr().out.split()[-1] == "20"
+
+
+def test_predictor_protocol_example_runs(capsys):
+    run_python_block("### Predictor protocol")
+    # a predict-only predictor samples and decodes; encode names the missing method
+    calls, error = capsys.readouterr().out.splitlines()
+    assert calls == "10"
+    assert "linearize" in error
 
 
 def test_config_format_example_loads(tmp_path):

@@ -412,9 +412,9 @@ class PreparingOracle(CountingOracle):
         super().__init__(base)
         self.prepared = []
 
-    def prepare(self, times):
-        self.prepared.append(tuple(times))
-        self.base.prepare(times)
+    def prepare(self, table):
+        self.prepared.append(table.times)
+        self.base.prepare(table)
 
 
 class TestPrepareHook:
