@@ -52,11 +52,12 @@ from .schedule import GridKind, NoiseSchedule, TimeGrid, coeffs, make_grid
 
 # upper bounds on the sizes a config may ask for, checked before anything is
 # allocated: trajectories × dimension (2**25 doubles = 256 MB per batch
-# array) and steps per grid, including every n_steps_sweep entry
+# array; times the steps for an experiment that keeps every step's states)
+# and steps per grid, including every n_steps_sweep entry
 MAX_BATCH_ENTRIES = 2 ** 25
 MAX_STEPS = 10 ** 6
 # rows per formatting call of _write_csv: bounds its temporary string to
-# tens of KB
+# tens of KB, and an array's Python rows to one block
 _CSV_BLOCK = 1024
 
 
@@ -287,6 +288,11 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
     n_traj = None
     if "n_trajectories" in reads:
         n_traj = _rows(raw.get("n_trajectories", 100), "n_trajectories", problem.dim, entry.least_rows)
+        if entry.keeps_states and n_traj * problem.dim * grid.n_steps > MAX_BATCH_ENTRIES:
+            raise ConfigInvalid(
+                f"{ctx} keeps the states of every step: n_trajectories × dimension × grid.n_steps must be "
+                f"at most {MAX_BATCH_ENTRIES}, got {n_traj} × {problem.dim} × {grid.n_steps}"
+            )
     given = _object(raw.get("options", {}), f"options of {ctx}", tuple(entry.options))
     options = _typed_options({**entry.options, **given}, problem.dim)
 
@@ -323,12 +329,12 @@ def _typed_options(options: dict, dim: int) -> dict:
     return options
 
 
-def _write_csv(path: Path, header: list[str], rows: list[Sequence]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[Sequence] | np.ndarray) -> None:
     """Write comma-joined ``str`` fields, one ``\r\n``-terminated line per row.
 
     These are the bytes the ``csv`` module writes for this data: it writes a
     Python float as its ``repr``, which equals its ``str``, and no header or
-    string field here needs quoting.  Rows must hold Python scalars
+    string field here needs quoting.  List rows must hold Python scalars
     (``tolist``/``float``), as an ``np.float64`` would print its own way.
 
     Each block of ``_CSV_BLOCK`` rows is formatted by one ``%`` call on a
@@ -336,9 +342,15 @@ def _write_csv(path: Path, header: list[str], rows: list[Sequence]) -> None:
     its fields in order, so a row of another width would shift the fields
     of every later row: rows must be rectangular, ``len(header)`` fields
     each, or ``ValueError`` is raised before the file is opened.
+
+    ``rows`` may also be an (n, k) float array, whose row i is written as
+    the fields i, then the row's k values; an array cannot be ragged, so its
+    width, 1 + k, is read from its shape.  Only the block being formatted is
+    converted to Python objects (``tolist``), so at most ``_CSV_BLOCK`` rows
+    of them exist at once, not one row and its floats per array row.
     """
     width = len(header)
-    widths = set(map(len, rows))
+    widths = {1 + rows.shape[1]} if isinstance(rows, np.ndarray) else set(map(len, rows))
     if widths - {width}:
         raise ValueError(f"every CSV row needs {width} fields, got rows of {sorted(widths)}")
     line = ",".join(["%s"] * width) + "\r\n"
@@ -346,6 +358,8 @@ def _write_csv(path: Path, header: list[str], rows: list[Sequence]) -> None:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, len(rows), _CSV_BLOCK):
             block = rows[lo:lo + _CSV_BLOCK]
+            if isinstance(block, np.ndarray):
+                block = list(zip(range(lo, lo + len(block)), *block.T.tolist()))
             fh.write(line * len(block) % tuple(chain.from_iterable(block)))
 
 
@@ -360,15 +374,20 @@ def _predictor(cfg: RunConfig):
 
 
 def _exp_sample(cfg: RunConfig, predictor):
+    """The terminal states of ``n_trajectories`` runs from ``x_T``, one row per trajectory.
+
+    The rows are the (n, d) terminal array itself: ``_write_csv`` writes row
+    i as i and its d coordinates, formatting one block at a time, so no
+    Python row per trajectory is built.
+    """
     scfg = SamplerConfig(cfg.method, cfg.grid, cfg.seed, cfg.eta)
     terminal, _, _ = sample_batch(scfg, cfg.schedule, predictor, cfg.x_T, cfg.n_trajectories)
     header = ["traj_id"] + [f"coord_{i}" for i in range(cfg.problem.dim)]
-    rows = list(zip(range(len(terminal)), *terminal.T.tolist()))
     metrics = {
         "terminal_mean_norm": float(np.linalg.norm(terminal.mean(axis=0))),
         "terminal_mean_var": float(terminal.var(axis=0, ddof=1).mean()),
     }
-    return "sample.csv", header, rows, metrics
+    return "sample.csv", header, terminal, metrics
 
 
 def _exp_marginals(cfg: RunConfig, predictor):
@@ -514,6 +533,7 @@ class _Experiment:
     reads: tuple[str, ...]
     options: dict = field(default_factory=dict)
     least_rows: int = 1  # least n_trajectories
+    keeps_states: bool = False  # holds an (n_trajectories, d) state per grid step
 
 
 # marginals runs the dbim1 chain with the true x0, so reads no method and
@@ -522,7 +542,7 @@ _EXPERIMENTS = {
     "sample": _Experiment(_exp_sample, (*_GRID_SHAPE, "grid.n_steps", "sampler.method", "sampler.eta",
                                         "n_trajectories", "problem.x_T", "problem.bias"), least_rows=2),
     "marginals": _Experiment(_exp_marginals, (*_GRID_SHAPE, "grid.n_steps", "sampler.eta", "n_trajectories",
-                                              "problem.x_T", "problem.x0"), least_rows=2),
+                                              "problem.x_T", "problem.x0"), least_rows=2, keeps_states=True),
     "drift-check": _Experiment(_exp_drift_check, ("problem.bias",), {"n_points": 1000, "t_range": [0.01, 0.99]}),
     "convergence": _Experiment(_exp_convergence, (*_GRID_SHAPE, "sampler.method", "sampler.eta",
                                                   "sampler.n_steps_sweep", "problem.x_T", "problem.bias")),

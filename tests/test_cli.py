@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -343,7 +344,15 @@ class TestConfigValidation:
         too_deep["grid"]["n_steps"] = MAX_STEPS + 1
         sweep_too_deep = experiment_config("convergence")
         sweep_too_deep["sampler"]["n_steps_sweep"] = [4, MAX_STEPS + 1]
-        for cfg in (too_many, too_deep, sweep_too_deep):
+        # marginals keeps the (n, d) states of all its grid steps: at 10 steps
+        # the limit is a tenth of sample's, and 10^5 trajectories × 10^4 steps
+        # would hold 16 GB
+        states_at_limit = experiment_config("marginals", n_trajectories=at_limit // 10)
+        assert load_config(states_at_limit).n_trajectories == at_limit // 10
+        states_too_many = experiment_config("marginals", n_trajectories=at_limit // 10 + 1)
+        states_too_deep = experiment_config("marginals", n_trajectories=10 ** 5)
+        states_too_deep["grid"]["n_steps"] = 10 ** 4
+        for cfg in (too_many, too_deep, sweep_too_deep, states_too_many, states_too_deep):
             with pytest.raises(ConfigInvalid, match="at most"):
                 load_config(cfg)
 
@@ -652,6 +661,23 @@ class TestExperiments:
         assert report["resolved"]["experiment"] == "sample"
         assert all(math.isfinite(v) for v in report["metrics"].values())
 
+    def test_sample_run_holds_no_row_per_trajectory(self, tmp_path):
+        # sample.csv is formatted from the terminal array one block at a time,
+        # so the run peaks at the dbim1 engine's own arrays, about 9 (n, d)
+        # float64 arrays; Python rows of every trajectory would add about 4.5
+        n, d = 50_000, 2
+        raw = base_config(n_trajectories=n, grid={"kind": "uniform_boot", "n_steps": 4})
+        assert run(load_config(raw, out_override=str(tmp_path / "warm-up"))) == 0
+        cfg = load_config(raw, out_override=str(tmp_path / "o"))
+        tracemalloc.start()
+        try:
+            assert run(cfg) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * n * d * 8
+        assert (tmp_path / "o" / "sample.csv").read_bytes() == (tmp_path / "warm-up" / "sample.csv").read_bytes()
+
     def test_convergence_slope_matches_emitted_rows(self, tmp_path):
         cfg_raw = experiment_config("convergence")
         cfg_raw["schedule"] = {"kind": "vp", "beta_min": 0.1, "beta_max": 20.0, "horizon": 1.0}
@@ -891,15 +917,21 @@ class TestCsvWriter:
         fields = st.lists(st.integers() | _CSV_FLOATS | _CSV_TEXT, min_size=width, max_size=width)
         pool = data.draw(st.lists(fields, min_size=1, max_size=8))
         rows = [(i, *pool[i % len(pool)]) for i in range(n_rows)]
+        # an (n_rows, width) float array is written as its rows under their index
+        floats = st.lists(_CSV_FLOATS, min_size=width, max_size=width)
+        float_pool = data.draw(st.lists(floats, min_size=1, max_size=8))
+        float_rows = [(i, *float_pool[i % len(float_pool)]) for i in range(n_rows)]
+        array = np.array([row[1:] for row in float_rows], dtype=float).reshape(n_rows, width)
         header = ["id"] + [f"f{j}" for j in range(width)]
-        expected = io.StringIO()
-        writer = csv.writer(expected, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "out.csv"
-            _write_csv(path, header, rows)
-            assert path.read_bytes() == expected.getvalue().encode("ascii")
+        for written, expected_rows in ((rows, rows), (array, float_rows)):
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\r\n")
+            writer.writerow(header)
+            writer.writerows(expected_rows)
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "out.csv"
+                _write_csv(path, header, written)
+                assert path.read_bytes() == expected.getvalue().encode("ascii")
 
     def test_ragged_row_raises_and_writes_nothing(self, tmp_path):
         path = tmp_path / "out.csv"
