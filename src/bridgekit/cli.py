@@ -326,6 +326,10 @@ def _typed_options(options: dict, dim: int) -> dict:
         if not isinstance(weights, list):
             raise ConfigInvalid(f"options.weights must be a list, got {weights!r}")
         options["weights"] = [_number(w, "options.weights entry") for w in weights]
+        # slerp takes sin(w θ) and sin((1 − w) θ) for an angle θ in [0, π]
+        for w in options["weights"]:
+            if not (math.isfinite(w * math.pi) and math.isfinite((1.0 - w) * math.pi)):
+                raise ConfigInvalid(f"options.weights entry {w!r}: w·π and (1 − w)·π must be finite")
     return options
 
 

@@ -177,8 +177,13 @@ def score_from_predictor(
     k = coeffs(schedule, t)
     if k.c == 0.0:
         raise DegenerateCoefficient(f"score undefined at t={t} where c=0")
-    x = np.asarray(x, dtype=float)
-    return -(x - k.a * np.asarray(xT, dtype=float) - k.b * np.asarray(x_hat, dtype=float)) / (k.c * k.c)
+    return _score(k.a, k.b, k.c, np.asarray(x, dtype=float), np.asarray(xT, dtype=float),
+                  np.asarray(x_hat, dtype=float))
+
+
+def _score(a: float, b: float, c: float, x: np.ndarray, xT: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+    """−(x − a x_T − b x̂)/c² for the bridge coefficients (a, b, c > 0) of one time."""
+    return -(x - a * xT - b * x_hat) / (c * c)
 
 
 class GaussianOracle:

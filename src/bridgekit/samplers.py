@@ -38,18 +38,19 @@ row's noise does not depend on the batch size.  ``decode`` passes None,
 and ``simulate_inference_chain`` (dbim1 with the true x₀ as its
 prediction) passes draws from a numpy generator.
 
-Work that depends only on the grid is done once per run: its coefficients
-are read as Python floats from one table, ``_GridCoeffs``, which the engine
-(and ``encode``) hands to a predictor's optional ``prepare(table)`` hook
-before the step loop, outside the predictor-call count.  A predictor needs
-only ``predict(x, t, xT)``, and ``encode`` also ``linearize(t, xT)``.  The
-dbim3 update reuses the divided difference the previous step formed.
+Work that depends only on the grid is done once per run: every method,
+the ODE/SDE baselines included, reads its coefficients as Python floats
+from one table, ``_GridCoeffs``, and no step looks up ``coeffs``.  The
+engine (and ``encode``) hands the table to a predictor's optional
+``prepare(table)`` hook before the step loop, outside the predictor-call
+count.  A predictor needs only ``predict(x, t, xT)``, and ``encode`` also
+``linearize(t, xT)``.  The dbim3 update reuses the divided difference the
+previous step formed.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -69,7 +70,7 @@ from .errors import (
     ZeroVector,
 )
 from .bridge import _kernel_mean, forward_sample, make_rhos
-from .oracle import score_from_predictor
+from .oracle import _score
 from .schedule import NoiseSchedule, TimeGrid, coeffs
 
 # rows per noise key; fixed, because every noisy output byte depends on it
@@ -143,12 +144,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
-def _philox_key(seed: int) -> tuple[int, int]:
-    k = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    return (int(k[0]), int(k[1]))
-
-
 class _Philox:
     """One Philox generator keyed by a seed and re-keyed per counter block.
 
@@ -158,7 +153,8 @@ class _Philox:
     """
 
     def __init__(self, seed: int):
-        self.bit_generator = np.random.Philox(key=_philox_key(seed))
+        k = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        self.bit_generator = np.random.Philox(key=(int(k[0]), int(k[1])))
         self.generator = np.random.Generator(self.bit_generator)
         self.fresh_state = self.bit_generator.state
 
@@ -293,26 +289,19 @@ def drift_dbim(schedule: NoiseSchedule, predictor, x: np.ndarray, t: float, xT: 
     return c_ratio * x + half * k.a * xT - half * k.b * x_hat
 
 
-def _h_transform_grad(schedule: NoiseSchedule, k, x: np.ndarray, t: float, xT: np.ndarray) -> np.ndarray:
-    """∇ log q_{T|t}(x_T | x_t) = −a ((α_T/α_t) x − x_T)/c²."""
-    alpha_ratio = math.exp(schedule.log_alpha(schedule.horizon) - schedule.log_alpha(t))
-    return -k.a * (alpha_ratio * x - xT) / (k.c * k.c)
+def _reverse_drift(schedule: NoiseSchedule, predictor, x, t: float, xT, a: float, b: float, c: float,
+                   score_weight: float) -> np.ndarray:
+    """f x − g² (w s(x) − ∇ log q_{T|t}), from the bridge coefficients (a, b, c > 0) at t.
 
-
-def _reverse_drift(schedule: NoiseSchedule, predictor, x, t: float, xT, score_weight: float) -> np.ndarray:
-    """f x − g² (w s(x) − ∇ log q_{T|t}), with the score s obtained from the data predictor.
-
-    The weight w on the score is ½ for the probability-flow ODE and 1 for
-    the reverse SDE; the two drifts differ in nothing else.
+    The score s is obtained from the data predictor, and the h-transform
+    gradient is ∇ log q_{T|t}(x_T | x_t) = −a ((α_T/α_t) x − x_T)/c².  The
+    weight w on the score is ½ for the probability-flow ODE and 1 for the
+    reverse SDE; the two drifts differ in nothing else.
     """
-    k = coeffs(schedule, t)
-    if k.c == 0.0:
-        raise DegenerateCoefficient(f"drift undefined at t={t} where c=0")
-    x = np.asarray(x, dtype=float)
-    xT = np.asarray(xT, dtype=float)
     x_hat = predictor.predict(x, t, xT)
-    score = score_from_predictor(schedule, x, t, xT, x_hat)
-    h_grad = _h_transform_grad(schedule, k, x, t, xT)
+    score = _score(a, b, c, x, xT, x_hat)
+    alpha_ratio = math.exp(schedule.log_alpha(schedule.horizon) - schedule.log_alpha(t))
+    h_grad = -a * (alpha_ratio * x - xT) / (c * c)
     return schedule.f(t) * x - schedule.g2(t) * (score_weight * score - h_grad)
 
 
@@ -323,7 +312,12 @@ def drift_pfode(schedule: NoiseSchedule, predictor, x: np.ndarray, t: float, xT:
     f x − g² (½ s(x) − ∇ log q_{T|t}) with the score obtained from the data
     predictor.
     """
-    return _reverse_drift(schedule, predictor, x, t, xT, 0.5)
+    k = coeffs(schedule, t)
+    if k.c == 0.0:
+        raise DegenerateCoefficient(f"drift undefined at t={t} where c=0")
+    x = np.asarray(x, dtype=float)
+    xT = np.asarray(xT, dtype=float)
+    return _reverse_drift(schedule, predictor, x, t, xT, k.a, k.b, k.c, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +355,10 @@ def _run_chunk(method, grid, eta, schedule, predictor, xT, eps_boot, normals, re
     """Carry boot noises ``eps_boot`` (shape (n, d), or (d,) for one state) from T to t_0.
 
     The whole batch advances one grid step at a time, with one predictor
-    call per step (two for Heun).  It builds the coefficient table and, for
-    dbim1, ρ as ``make_rhos`` gives it at ``eta``.  Per-step noise comes from
+    call per step (two for Heun).  It builds the coefficient table, from
+    which every method reads (a, b, c) at each grid time (Heun's corrector
+    those at t_{i−1}), and, for dbim1, ρ as ``make_rhos`` gives it at
+    ``eta``.  Per-step noise comes from
     ``normals(tag, step, shape)`` (None for a run that draws none): dbim1
     asks for ``(_STEP_TAG, i − 1)`` on each step leaving t_i whose ρ_{i−1}
     is positive, and Euler–Maruyama for ``(_STEP_TAG, i)`` on every step.
@@ -421,16 +417,16 @@ def _run_chunk(method, grid, eta, schedule, predictor, xT, eps_boot, normals, re
             x = c_ratio * x + (a[i - 1] - c_ratio * a[i]) * xT_tile + c[i - 1] * integral
         elif method is Method.SDE_EULER_MARUYAMA:
             dt = t_lo - t_hi
-            v = _reverse_drift(schedule, pred, x, t_hi, xT, 1.0)
+            v = _reverse_drift(schedule, pred, x, t_hi, xT, a[i], b[i], c[i], 1.0)
             g = math.sqrt(schedule.g2(t_hi))
             x = x + dt * v + g * math.sqrt(-dt) * normals(_STEP_TAG, i, x.shape)
         else:
             dt = t_lo - t_hi
-            v1 = drift_pfode(schedule, pred, x, t_hi, xT)
+            v1 = _reverse_drift(schedule, pred, x, t_hi, xT, a[i], b[i], c[i], 0.5)
             if method is Method.PF_ODE_EULER:
                 x = x + dt * v1
             else:
-                v2 = drift_pfode(schedule, pred, x + dt * v1, t_lo, xT)
+                v2 = _reverse_drift(schedule, pred, x + dt * v1, t_lo, xT, a[i - 1], b[i - 1], c[i - 1], 0.5)
                 x = x + 0.5 * dt * (v1 + v2)
         if record:
             states.append(x)

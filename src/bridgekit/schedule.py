@@ -85,17 +85,6 @@ class NoiseSchedule:
                 raise InvalidGridParams(f"Brownian bridge needs beta > 0, got {p}")
         else:  # pragma: no cover - enum is closed
             raise InvalidGridParams(f"unknown schedule kind {self.kind}")
-        # every coeffs() lookup hashes the schedule, and hashing the kind
-        # runs the Python-level Enum.__hash__, so the hash is made once
-        object.__setattr__(self, "_hash", hash((self.kind, self.params, self.horizon)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild through the constructor: str hashes, and so the cached
-        # hash, differ between interpreters
-        return type(self), (self.kind, self.params, self.horizon)
 
     @classmethod
     def vp(cls, beta_min: float = 0.1, beta_max: float = 20.0, horizon: float = 1.0) -> "NoiseSchedule":

@@ -325,7 +325,10 @@ def test_c9_diversity_trend():
 
 
 def test_c10_determinism_and_threads(tmp_path):
-    """Identical seeds give byte-identical CSVs at 1 and 8 worker threads."""
+    """Identical seeds give byte-identical CSVs on reruns and with ``--threads`` 1 and 8.
+
+    The engine runs on the calling thread, so ``--threads`` is accepted and ignored.
+    """
     cfg = {
         "schedule": {"kind": "brownian_bridge", "beta": 1.0, "horizon": 1.0},
         "problem": {

@@ -107,6 +107,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             load_config(base_config(experiment="nope"))
 
+    # slerp takes sin(w θ) and sin((1 − w) θ) for θ in [0, π], so each
+    # weight must keep w·π and (1 − w)·π finite: |w| up to about 5.7e307.
+    # At seed 1 (θ = 2.50) a weight of 1e308 made sin raise a domain error
+    def test_interpolate_weight_past_the_sine_bound_exits_2(self, tmp_path):
+        bound = sys.float_info.max / math.pi
+        for w in (bound * 0.999, -bound * 0.999):
+            assert load_config(experiment_config("interpolate", options={"weights": [w]})).options["weights"] == [w]
+        for w in (1e308, -1e308, bound * 1.001, -bound * 1.001):
+            with pytest.raises(ConfigInvalid, match="weights entry"):
+                load_config(experiment_config("interpolate", options={"weights": [0.5, w]}))
+        cfg = experiment_config("interpolate", seed=1, options={"weights": [1e308]})
+        cfg["grid"].update(t_min=1e-3, boot_gap=1e-3)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_unknown_method(self):
         cfg = base_config()
         cfg["sampler"]["method"] = "not-a-method"
@@ -468,16 +484,18 @@ def _small_options_config(experiment, options):
 _OPTIONS_FUZZ_BASES = (
     _small_options_config("diversity", {"n_conditions": 2, "samples_per_condition": 3}),
     _small_options_config("drift-check", {"n_points": 5, "t_range": [0.1, 0.9]}),
+    _small_options_config("interpolate", {"weights": [0.0, 0.5]}),
 )
-# the options section, every option of either base, and the step sweep (a
-# section drift-check does not read, so it exits 2 there)
-_OPTIONS_FUZZ_PATHS = (("options",), ("sampler", "n_steps_sweep")) + tuple(sorted({
+# the options section, every option of any base, the first weight entry,
+# and the step sweep (a section drift-check and interpolate do not read, so
+# they exit 2 there)
+_OPTIONS_FUZZ_PATHS = (("options",), ("sampler", "n_steps_sweep"), ("options", "weights", 0)) + tuple(sorted({
     ("options", name) for cfg in _OPTIONS_FUZZ_BASES for name in cfg["options"]
 }))
 
 
 class TestOptionsFuzz:
-    # the space is 2 × 6 × 17 = 204 cases, so this enumerates all of them
+    # the space is 3 × 8 × 17 = 408 cases, so this enumerates all of them
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(
         base=st.sampled_from(_OPTIONS_FUZZ_BASES),
@@ -963,11 +981,14 @@ class TestCoefficientTable:
         assert len(builds) == 1
 
     # the run reads every grid coefficient from the table load_config built,
-    # so its schedule.coeffs calls do not grow with the number of steps
+    # the ODE/SDE baselines' drifts included, so its schedule.coeffs calls
+    # do not grow with the number of steps
     @pytest.mark.parametrize("experiment,overrides", [
         ("sample", {"sampler": {"method": "dbim1", "eta": 1.0}, "n_trajectories": 16}),
         ("roundtrip", {"n_trajectories": 2}),
-    ], ids=["deep_sample", "roundtrip"])
+        *(("sample", {"sampler": {"method": method}, "n_trajectories": 16})
+          for method in ("pf_ode_euler", "pf_ode_heun", "sde_euler_maruyama")),
+    ], ids=["deep_sample", "roundtrip", "pf_ode_euler", "pf_ode_heun", "sde_euler_maruyama"])
     def test_run_coeffs_calls_do_not_grow_with_n_steps(self, tmp_path, experiment, overrides):
         calls = []
         for n_steps in (1000, 3000):
