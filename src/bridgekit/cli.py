@@ -347,8 +347,9 @@ def _write_csv(path: Path, header: list[str], rows: list[Sequence] | np.ndarray)
     of every later row: rows must be rectangular, ``len(header)`` fields
     each, or ``ValueError`` is raised before the file is opened.
 
-    ``rows`` may also be an (n, k) float array, whose row i is written as
-    the fields i, then the row's k values; an array cannot be ragged, so its
+    ``rows`` may also be an (n, k) float array (``sample``, ``drift-check``
+    and ``roundtrip`` pass their tables so), whose row i is written as the
+    fields i, then the row's k values; an array cannot be ragged, so its
     width, 1 + k, is read from its shape.  Only the block being formatted is
     converted to Python objects (``tolist``), so at most ``_CSV_BLOCK`` rows
     of them exist at once, not one row and its floats per array row.
@@ -422,35 +423,35 @@ def _exp_marginals(cfg: RunConfig, predictor):
 
 
 def _drift_gaps(schedule: NoiseSchedule, predictor, rng, n_points: int, dim: int, lo: float, hi: float):
-    """(t, gap) between ``drift_dbim`` and ``drift_pfode`` at ``n_points`` random points.
+    """An (n_points, 2) array of (t, gap) between ``drift_dbim`` and ``drift_pfode`` at random points.
 
     Each point draws t uniform on [lo, hi] × horizon, then x and x_T from
     N(0, 4 I).  The gap is the max-norm of the difference over the larger
     max-norm of the two drifts, floored at 1e-4 of the largest drift seen.
+    Both drifts of every point go into one (2, n_points, d) array, and no
+    Python row is built per point: ``_write_csv`` writes the array itself.
     """
-    samples = []
-    for _ in range(n_points):
-        t = float(rng.uniform(lo * schedule.horizon, hi * schedule.horizon))
+    out = np.empty((n_points, 2))
+    drifts = np.empty((2, n_points, dim))
+    for i in range(n_points):
+        t = out[i, 0] = rng.uniform(lo * schedule.horizon, hi * schedule.horizon)
         x = rng.standard_normal(dim) * 2.0
         xT = rng.standard_normal(dim) * 2.0
-        d1 = drift_dbim(schedule, predictor, x, t, xT)
-        d2 = drift_pfode(schedule, predictor, x, t, xT)
-        samples.append((t, d1, d2))
-    scale = float(np.max(np.abs([d for _, d1, d2 in samples for d in (d1, d2)])))
-    gaps = []
-    for t, d1, d2 in samples:
-        denom = max(float(np.max(np.abs(d1))), float(np.max(np.abs(d2))), 1e-4 * scale)
-        gaps.append((t, float(np.max(np.abs(d1 - d2)) / denom)))
-    return gaps
+        drifts[0, i] = drift_dbim(schedule, predictor, x, t, xT)
+        drifts[1, i] = drift_pfode(schedule, predictor, x, t, xT)
+    size = np.abs(drifts).max(axis=2)
+    # np.maximum, unlike max(), keeps a NaN, so that run() rejects it
+    denom = np.maximum(size.max(axis=0), 1e-4 * size.max())
+    out[:, 1] = np.abs(drifts[0] - drifts[1]).max(axis=1) / denom
+    return out
 
 
 def _exp_drift_check(cfg: RunConfig, predictor):
     lo, hi = cfg.options["t_range"]
     rng = np.random.default_rng(cfg.seed)
     gaps = _drift_gaps(cfg.schedule, predictor, rng, cfg.options["n_points"], cfg.problem.dim, lo, hi)
-    rows = [[i, t, rel] for i, (t, rel) in enumerate(gaps)]
     header = ["idx", "t", "rel_dev"]
-    return "drift_check.csv", header, rows, {"max_rel_dev": float(np.max([rel for _, rel in gaps]))}
+    return "drift_check.csv", header, gaps, {"max_rel_dev": float(gaps[:, 1].max())}
 
 
 def _exp_convergence(cfg: RunConfig, predictor):
@@ -480,15 +481,13 @@ def _exp_convergence(cfg: RunConfig, predictor):
 def _exp_roundtrip(cfg: RunConfig, predictor):
     rng = np.random.default_rng(cfg.seed)
     draws = cfg.problem.sample_x0(cfg.x_T, cfg.n_trajectories, rng)
-    rows = []
-    for i in range(cfg.n_trajectories):
-        x0 = draws[i]
+    errs = np.empty((cfg.n_trajectories, 1))
+    for i, x0 in enumerate(draws):
         eps = encode(cfg.schedule, predictor, x0, cfg.x_T, cfg.grid)
         x_rec = decode(cfg.schedule, predictor, eps, cfg.x_T, cfg.grid)
-        rel = float(np.linalg.norm(x_rec - x0) / max(np.linalg.norm(x0), 1.0))
-        rows.append([i, rel])
+        errs[i] = np.linalg.norm(x_rec - x0) / max(np.linalg.norm(x0), 1.0)
     header = ["traj_id", "recon_rel_err"]
-    return "roundtrip.csv", header, rows, {"max_recon_rel_err": float(np.max([rel for _, rel in rows]))}
+    return "roundtrip.csv", header, errs, {"max_recon_rel_err": float(errs.max())}
 
 
 def _exp_interpolate(cfg: RunConfig, predictor):
@@ -639,8 +638,8 @@ def selftest() -> int:
 
     # drift equivalence on 200 random points
     oracle = GaussianOracle(problem, sched_vp)
-    devs = [rel for _, rel in _drift_gaps(sched_vp, oracle, rng, 200, 1, 0.01, 0.99)]
-    checks.append(("drift-equivalence", max(devs) <= 1e-9, f"max rel dev {max(devs):.2e}"))
+    worst = _drift_gaps(sched_vp, oracle, rng, 200, 1, 0.01, 0.99)[:, 1].max()
+    checks.append(("drift-equivalence", worst <= 1e-9, f"max rel dev {worst:.2e}"))
 
     # Markov boundary: coefficient vanishes exactly at the eta=1 variance
     worst = 0.0

@@ -51,6 +51,7 @@ previous step formed.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -179,9 +180,10 @@ class _GridCoeffs:
 
     ``build`` rejects, for every engine entry and the config loader, a grid not
     ending at the schedule's horizon (``TimeGrid`` rejects short or unordered ones).
-    It keeps the last table it built and returns it again for an equal
-    (schedule, grid), so the loader, the engine and every ``encode``/``decode``
-    of a run share one table; a build that raises keeps nothing.
+    It keeps the last table it built (``lru_cache(maxsize=1)``) and returns
+    it again for an equal (schedule, grid), so the loader, the engine and
+    every ``encode``/``decode`` of a run share one table; a build that raises
+    keeps nothing.
     The engine and ``encode`` index these tuples, which is cheaper than making
     numpy scalars, and hand the table to a predictor's ``prepare`` hook.
     """
@@ -194,17 +196,14 @@ class _GridCoeffs:
     lam: tuple[float, ...]
 
     @classmethod
+    @functools.lru_cache(maxsize=1)
     def build(cls, schedule: NoiseSchedule, grid: TimeGrid) -> "_GridCoeffs":
-        global _last_grid_coeffs
-        key = (schedule, grid)
-        if _last_grid_coeffs is not None and _last_grid_coeffs[0] == key:
-            return _last_grid_coeffs[1]
         if grid.t_max != schedule.horizon:
             raise InvalidGridParams(
                 f"grid t_max={grid.t_max} must equal the schedule horizon {schedule.horizon}"
             )
         ks = [coeffs(schedule, t) for t in grid.times]
-        table = cls(
+        return cls(
             schedule=schedule,
             times=grid.times,
             a=tuple([k.a for k in ks]),
@@ -212,12 +211,6 @@ class _GridCoeffs:
             c=tuple([k.c for k in ks]),
             lam=tuple([k.lam for k in ks]),
         )
-        _last_grid_coeffs = (key, table)
-        return table
-
-
-# ((schedule, grid), table) of the last _GridCoeffs.build, or None
-_last_grid_coeffs: tuple[tuple[NoiseSchedule, TimeGrid], _GridCoeffs] | None = None
 
 
 # ---------------------------------------------------------------------------

@@ -221,10 +221,6 @@ def time_of_lambda(schedule: NoiseSchedule, lam: float) -> float:
     hi = T * (1.0 - 1e-14)
     f_lo = lambda_of(schedule, lo) - lam
     f_hi = lambda_of(schedule, hi) - lam
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
     if f_lo * f_hi > 0.0:
         raise NotBracketed(f"lambda={lam} outside attainable range ({lam + f_hi}, {lam + f_lo})")
     # imported on use: scipy.optimize is a large share of the package's
@@ -279,7 +275,8 @@ def make_grid(
     degenerate N = 1 grid is allowed only when t_min = t_max − boot_gap.
 
     ``EDM_POWER`` uses (t_max^{1/κ} + (i/N)(t_min^{1/κ} − t_max^{1/κ}))^κ,
-    which reduces to a uniform grid at κ = 1.
+    which reduces to a uniform grid at κ = 1; a κ that puts t_max^{1/κ}
+    beyond the float range is rejected.
     """
     if n_steps < 1:
         raise InvalidGridParams(f"n_steps must be >= 1, got {n_steps}")
@@ -304,7 +301,12 @@ def make_grid(
         kappa = float(edm_exponent)
         if kappa <= 0.0:
             raise InvalidGridParams(f"edm_exponent must be positive, got {kappa}")
-        hi = t_max ** (1.0 / kappa)
+        try:
+            hi = t_max ** (1.0 / kappa)
+        except OverflowError:  # out of the float range (where 1/κ = inf, the power is inf instead)
+            hi = math.inf
+        if not math.isfinite(hi):
+            raise InvalidGridParams(f"t_max ** (1/edm_exponent) overflows for t_max={t_max}, edm_exponent={kappa}")
         lo = t_min ** (1.0 / kappa)
         idx = np.arange(n_steps + 1)
         desc = (hi + (idx / n_steps) * (lo - hi)) ** kappa

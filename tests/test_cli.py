@@ -107,6 +107,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             load_config(base_config(experiment="nope"))
 
+    # t_max ** (1/edm_exponent) beyond the float range is rejected before
+    # it is used: a Python float power raises OverflowError there, and at
+    # 1/edm_exponent = inf numpy warns on inf − inf
+    @pytest.mark.parametrize("schedule,kappa", [
+        ({"kind": "brownian_bridge", "beta": 1.0, "horizon": 2.0}, 1e-4),
+        ({"kind": "brownian_bridge", "beta": 1.0, "horizon": 2.0}, 5e-324),
+        ({"kind": "vp", "beta_min": 0.1, "beta_max": 20.0, "horizon": 3.0}, 1e-4),
+    ], ids=["bb-1e-4", "bb-5e-324", "vp-1e-4"])
+    def test_edm_power_top_past_the_float_range_exits_2(self, tmp_path, capsys, schedule, kappa):
+        cfg = base_config(schedule=schedule, grid={"kind": "edm_power", "n_steps": 4, "edm_exponent": kappa})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     # slerp takes sin(w θ) and sin((1 − w) θ) for θ in [0, π], so each
     # weight must keep w·π and (1 − w)·π finite: |w| up to about 5.7e307.
     # At seed 1 (θ = 2.50) a weight of 1e308 made sin raise a domain error
@@ -430,16 +445,19 @@ _MUTANTS = (
 )
 
 
-def _small_sample_config(schedule):
+def _small_sample_config(schedule, grid=None):
     cfg = base_config(schedule=schedule, n_trajectories=4)
-    cfg["grid"] = {"kind": "uniform_boot", "n_steps": 4, "t_min": 1e-4}
+    cfg["grid"] = {"kind": "uniform_boot", "n_steps": 4, "t_min": 1e-4, **(grid or {})}
     return cfg
 
 
+# the edm_power base has a horizon above 1, where a small edm_exponent
+# overflows t_max ** (1/edm_exponent)
 _FUZZ_BASES = tuple(_small_sample_config(schedule) for schedule in (
     {"kind": "brownian_bridge", "beta": 1.0, "horizon": 1.0},
     {"kind": "vp", "beta_min": 0.1, "beta_max": 20.0, "horizon": 1.0},
-))
+)) + (_small_sample_config({"kind": "brownian_bridge", "beta": 1.0, "horizon": 2.0},
+                           {"kind": "edm_power", "edm_exponent": 7.0}),)
 # every section and every field of a section, by path from the root
 _FUZZ_PATHS = tuple(sorted({
     path
@@ -450,7 +468,8 @@ _FUZZ_PATHS = tuple(sorted({
 
 
 class TestConfigFuzz:
-    @settings(max_examples=1000, deadline=None, derandomize=True)
+    # the space is 3 × 22 × 17 = 1122 cases, so this enumerates all of them
+    @settings(max_examples=1200, deadline=None, derandomize=True)
     @given(
         base=st.sampled_from(_FUZZ_BASES),
         path=st.sampled_from(_FUZZ_PATHS),
@@ -679,12 +698,9 @@ class TestExperiments:
         assert report["resolved"]["experiment"] == "sample"
         assert all(math.isfinite(v) for v in report["metrics"].values())
 
-    def test_sample_run_holds_no_row_per_trajectory(self, tmp_path):
-        # sample.csv is formatted from the terminal array one block at a time,
-        # so the run peaks at the dbim1 engine's own arrays, about 9 (n, d)
-        # float64 arrays; Python rows of every trajectory would add about 4.5
-        n, d = 50_000, 2
-        raw = base_config(n_trajectories=n, grid={"kind": "uniform_boot", "n_steps": 4})
+    @staticmethod
+    def second_run_peak(tmp_path, raw, csv_name):
+        """The tracemalloc peak of a run of ``raw`` after a warm-up run, whose CSV it must repeat."""
         assert run(load_config(raw, out_override=str(tmp_path / "warm-up"))) == 0
         cfg = load_config(raw, out_override=str(tmp_path / "o"))
         tracemalloc.start()
@@ -693,8 +709,30 @@ class TestExperiments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 11 * n * d * 8
-        assert (tmp_path / "o" / "sample.csv").read_bytes() == (tmp_path / "warm-up" / "sample.csv").read_bytes()
+        assert (tmp_path / "o" / csv_name).read_bytes() == (tmp_path / "warm-up" / csv_name).read_bytes()
+        return peak
+
+    def test_sample_run_holds_no_row_per_trajectory(self, tmp_path):
+        # sample.csv is formatted from the terminal array one block at a time,
+        # so the run peaks at the dbim1 engine's own arrays, about 9 (n, d)
+        # float64 arrays; Python rows of every trajectory would add about 4.5
+        n, d = 50_000, 2
+        raw = base_config(n_trajectories=n, grid={"kind": "uniform_boot", "n_steps": 4})
+        assert self.second_run_peak(tmp_path, raw, "sample.csv") < 11 * n * d * 8
+
+    # both tables are written from the experiment's own array, as sample.csv
+    # is.  Per row, what is left is mostly the oracle's per-time table and
+    # the coeffs cache (about 480 B per drift-check point, which draws a new
+    # t each) or the draws and errors (about 72 B per roundtrip trajectory);
+    # a Python row per point or trajectory held about 820 and 166 B
+    @pytest.mark.parametrize("experiment,overrides,n,bound,csv_name", [
+        ("drift-check", {"options": {"n_points": 5000}}, 5000, 650, "drift_check.csv"),
+        ("roundtrip", {"n_trajectories": 2000, "grid": {"kind": "uniform_boot", "n_steps": 4}}, 2000, 120,
+         "roundtrip.csv"),
+    ], ids=["drift-check", "roundtrip"])
+    def test_table_run_holds_no_row_per_point(self, tmp_path, experiment, overrides, n, bound, csv_name):
+        raw = experiment_config(experiment, **overrides)
+        assert self.second_run_peak(tmp_path, raw, csv_name) < bound * n
 
     def test_convergence_slope_matches_emitted_rows(self, tmp_path):
         cfg_raw = experiment_config("convergence")
@@ -970,7 +1008,7 @@ class TestCoefficientTable:
             tables.append(table)
 
         monkeypatch.setattr(samplers._GridCoeffs, "__init__", counting_init)
-        monkeypatch.setattr(samplers, "_last_grid_coeffs", None)
+        samplers._GridCoeffs.build.cache_clear()
         return tables
 
     # encode and decode of every roundtrip draw reuse the table load_config built

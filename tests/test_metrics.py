@@ -188,6 +188,12 @@ class TestDiversity:
 
 
 class TestMomentCheck:
+    @pytest.mark.parametrize("batch,cov", [(np.ones((1, 2)), np.eye(2)), (np.ones((3, 2)), np.eye(3))],
+                             ids=["one_row", "cov_shape"])
+    def test_misshapen_input_rejected(self, batch, cov):
+        with pytest.raises(DimensionMismatch):
+            moment_check(batch, 0.5, np.zeros(2), cov)
+
     def test_calibrated_on_target_draws(self):
         rng = np.random.default_rng(4)
         mean = np.array([0.5, -1.0])

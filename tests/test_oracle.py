@@ -57,6 +57,13 @@ class TestProblemValidation:
 
 
 class TestPredict:
+    def test_dimension_mismatch_rejected(self):
+        prob = GaussianBridgeProblem(mix=np.eye(2), offset=np.zeros(2), cov=np.eye(2))
+        with pytest.raises(DimensionMismatch, match="xT dim"):
+            prob.mean_given_endpoint(np.zeros(3))
+        with pytest.raises(DimensionMismatch, match="state dim"):
+            GaussianOracle(prob, BB).predict(np.zeros(3), 0.5, np.zeros(2))
+
     def test_deterministic_pairing_returns_conditional_mean(self):
         prob = GaussianBridgeProblem(
             mix=np.array([[0.5]]), offset=np.array([0.1]), cov=np.array([[0.0]])

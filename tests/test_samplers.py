@@ -34,6 +34,7 @@ from bridgekit import (
 from bridgekit.errors import (
     BridgekitError,
     DegenerateCoefficient,
+    DimensionMismatch,
     InitialStepSingularity,
     InvalidGridParams,
     NonpositiveStep,
@@ -616,3 +617,7 @@ class TestSlerp:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             slerp_interpolate(np.zeros(2), np.ones(2), 0.5)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            slerp_interpolate(np.ones(2), np.ones(3), 0.5)

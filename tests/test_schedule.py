@@ -113,6 +113,13 @@ class TestLambda:
                 back = time_of_lambda(sch, lambda_of(sch, t))
                 assert abs(back - t) <= 1e-10 * t
 
+    # λ at a bracket end makes f exactly 0 there, and brentq returns that end
+    @pytest.mark.parametrize("sch", [NoiseSchedule.brownian_bridge(1.0, 2.0), NoiseSchedule.vp()])
+    def test_inverse_at_bracket_ends(self, sch):
+        T = sch.horizon
+        for t in (T * 1e-14, T * (1.0 - 1e-14)):
+            assert time_of_lambda(sch, lambda_of(sch, t)) == t
+
     def test_not_bracketed(self):
         with pytest.raises(NotBracketed):
             time_of_lambda(NoiseSchedule.ve(0.01, 50.0, 1.0), 1e9)
@@ -188,8 +195,14 @@ class TestGrids:
             make_grid(GridKind.UNIFORM_WITH_BOOT_STEP, 5, t_min=0.5, t_max=0.4)
         with pytest.raises(InvalidGridParams):
             make_grid(GridKind.UNIFORM_WITH_BOOT_STEP, 5, t_min=0.9999, t_max=1.0, boot_gap=1e-4)
+        for boot_gap in (0.0, 1.0):
+            with pytest.raises(InvalidGridParams, match="boot_gap"):
+                make_grid(GridKind.UNIFORM_WITH_BOOT_STEP, 5, t_min=1e-4, t_max=1.0, boot_gap=boot_gap)
         with pytest.raises(InvalidGridParams):
             make_grid(GridKind.EDM_POWER, 5, t_min=0.1, t_max=1.0, edm_exponent=-1.0)
+        for kappa in (1e-4, 5e-324):
+            with pytest.raises(InvalidGridParams, match="overflows"):
+                make_grid(GridKind.EDM_POWER, 5, t_min=0.1, t_max=2.0, edm_exponent=kappa)
 
     def test_time_grid_is_valid_by_construction(self, tmp_path):
         for times, pair in (((0.5, 0.3, 1.0), "t_0 = 0.5, t_1 = 0.3"), ((1.0, 1.0), "t_0 = 1.0, t_1 = 1.0"),
