@@ -53,7 +53,7 @@ from .schedule import GridKind, NoiseSchedule, TimeGrid, coeffs, make_grid
 # upper bounds on the sizes a config may ask for, checked before anything is
 # allocated: trajectories × dimension (2**25 doubles = 256 MB per batch
 # array; times the steps for an experiment that keeps every step's states)
-# and steps per grid, including every n_steps_sweep entry
+# and steps per grid, and in all the n_steps_sweep grids together
 MAX_BATCH_ENTRIES = 2 ** 25
 MAX_STEPS = 10 ** 6
 # rows per formatting call of _write_csv: bounds its temporary string to
@@ -264,6 +264,11 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
         entries = sspec.get("n_steps_sweep")
         if not isinstance(entries, list) or not entries:
             raise ConfigInvalid(f"{ctx} requires sampler.n_steps_sweep, a non-empty list; got {entries!r}")
+        # bound the steps of all the grids before building any; an entry below 1 offsets nothing
+        entries = [_number(n, "sampler.n_steps_sweep entry", integer=True) for n in entries]
+        total = sum(max(n, 0) for n in entries)
+        if total > MAX_STEPS:
+            raise ConfigInvalid(f"sampler.n_steps_sweep entries must sum to at most {MAX_STEPS}, got {total}")
         sweep = tuple(_build_grid(gspec, sched, n, "sampler.n_steps_sweep entry") for n in entries)
 
     seed = _number(raw.get("seed", 0) if seed_override is None else seed_override, "seed", integer=True)

@@ -531,9 +531,10 @@ def encode(
     Each deterministic update is affine in the unknown upper state once the
     predictor's affine map at the upper time is known, so the recursion is
     inverted exactly step by step from t_0 up to t_{N−1}, for any finite
-    x0; the booting noise is then read off the boot step.  Requires a
-    predictor exposing ``linearize`` (all predictors in
-    :mod:`bridgekit.oracle` do).
+    x0; the booting noise is then read off the boot step.  ``x0`` is one
+    (d,) draw or any (…, d) batch, solved as one stack per step, each row
+    bit-identical to a one-row call.  Requires a predictor exposing
+    ``linearize`` (all predictors in :mod:`bridgekit.oracle` do).
     """
     if not hasattr(predictor, "linearize"):
         raise BridgekitError("encode requires a predictor with a linearize(t, xT) method")
@@ -550,7 +551,7 @@ def encode(
         A = kappa * eye + gain * P
         rhs = x - gc.a[n] * xT + kappa * gc.a[n + 1] * xT - gain * q
         try:
-            x = np.linalg.solve(A, rhs)
+            x = np.linalg.solve(A, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"encode step {n} -> {n + 1} is not invertible") from exc
 

@@ -271,8 +271,8 @@ def make_grid(
     """Build an N-step grid of N+1 times.
 
     ``UNIFORM_WITH_BOOT_STEP`` places t_N = t_max, t_{N−1} = t_max − boot_gap
-    and spaces t_0 … t_{N−1} uniformly on [t_min, t_max − boot_gap].  The
-    degenerate N = 1 grid is allowed only when t_min = t_max − boot_gap.
+    and spaces t_0 … t_{N−1} uniformly on [t_min, t_max − boot_gap] by one
+    ``np.linspace`` for every N, so N = 1 requires t_min = t_max − boot_gap.
 
     ``EDM_POWER`` uses (t_max^{1/κ} + (i/N)(t_min^{1/κ} − t_max^{1/κ}))^κ,
     which reduces to a uniform grid at κ = 1; a κ that puts t_max^{1/κ}
@@ -287,16 +287,9 @@ def make_grid(
         if boot_gap <= 0.0 or t_max - boot_gap <= 0.0:
             raise InvalidGridParams(f"boot_gap={boot_gap} invalid for t_max={t_max}")
         top = t_max - boot_gap
-        if n_steps == 1:
-            if t_min != top:
-                raise InvalidGridParams(
-                    f"N=1 uniform grid requires t_min == t_max - boot_gap, got {t_min} != {top}"
-                )
-            times = (t_min, t_max)
-        else:
-            if not t_min < top:
-                raise InvalidGridParams(f"need t_min < t_max - boot_gap, got {t_min} >= {top}")
-            times = (*np.linspace(t_min, top, n_steps), t_max)
+        if not (t_min == top if n_steps == 1 else t_min < top):
+            raise InvalidGridParams(f"need t_min == t_max - boot_gap for N=1, < for N>1; got {t_min}, {top}")
+        times = (*np.linspace(t_min, top, n_steps), t_max)
     elif kind is GridKind.EDM_POWER:
         kappa = float(edm_exponent)
         if kappa <= 0.0:

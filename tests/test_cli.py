@@ -241,6 +241,9 @@ class TestConfigValidation:
         ("schedule.beta", 10 ** 400),
         ("cov", [[1.0, 0.3], [0.3]]),
         (("experiment", "options.weights"), ("interpolate", 0.5)),
+        # sweep entries each within the step limit whose sum is past it
+        pytest.param(("experiment", "sampler.n_steps_sweep"), ("convergence", [600000, 600000]),
+                     id="sampler.n_steps_sweep-sum"),
     ])
     def test_invalid_input_exits_2_without_output(self, tmp_path, key, value):
         # a tuple of keys sets each key to the matching entry of the value tuple
@@ -364,7 +367,7 @@ class TestConfigValidation:
         assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == code
         assert out.exists() == (code == 0)
 
-    def test_count_limits(self):
+    def test_count_limits(self, monkeypatch):
         # load_config only, so that nothing near the limits is allocated
         from bridgekit.cli import MAX_BATCH_ENTRIES, MAX_STEPS
 
@@ -375,6 +378,9 @@ class TestConfigValidation:
         too_deep["grid"]["n_steps"] = MAX_STEPS + 1
         sweep_too_deep = experiment_config("convergence")
         sweep_too_deep["sampler"]["n_steps_sweep"] = [4, MAX_STEPS + 1]
+        # each entry within the limit, their sum past it
+        sweep_too_long = experiment_config("convergence")
+        sweep_too_long["sampler"]["n_steps_sweep"] = [600000, 600000]
         # marginals keeps the (n, d) states of all its grid steps: at 10 steps
         # the limit is a tenth of sample's, and 10^5 trajectories × 10^4 steps
         # would hold 16 GB
@@ -386,6 +392,12 @@ class TestConfigValidation:
         for cfg in (too_many, too_deep, sweep_too_deep, states_too_many, states_too_deep):
             with pytest.raises(ConfigInvalid, match="at most"):
                 load_config(cfg)
+        # the sweep's total is checked before any of its grids is built
+        built = []
+        monkeypatch.setattr(bridgekit.cli, "make_grid", lambda *args, **kw: built.append(args))
+        with pytest.raises(ConfigInvalid, match=f"sum to at most {MAX_STEPS}, got 1200000"):
+            load_config(sweep_too_long)
+        assert built == []
 
     @pytest.mark.parametrize("key", ["n_points", "n_conditions", "samples_per_condition"])
     def test_option_count_limits(self, key):

@@ -38,6 +38,7 @@ from bridgekit.errors import (
     InitialStepSingularity,
     InvalidGridParams,
     NonpositiveStep,
+    SingularSystem,
     ZeroVector,
 )
 
@@ -482,6 +483,50 @@ class TestEncodeDecode:
         for x0 in (m, m + 1.0):
             rec = decode(BB, oracle, encode(BB, oracle, x0, xT, grid), xT, grid)
             assert np.linalg.norm(rec - x0) <= 1e-12 * np.linalg.norm(x0)
+
+    @pytest.mark.parametrize("n_steps", [12, 50, 200])
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    @pytest.mark.parametrize("schedule", [BB, VP, NoiseSchedule.ve()], ids=["bb", "vp", "ve"])
+    def test_batch_encode_matches_rows(self, schedule, d, n_steps):
+        rng = np.random.default_rng(d)
+        root = rng.standard_normal((d, d))
+        prob = GaussianBridgeProblem(
+            mix=0.3 * rng.standard_normal((d, d)), offset=rng.standard_normal(d),
+            cov=root @ root.T / d + 0.5 * np.eye(d),
+        )
+        oracle = GaussianOracle(prob, schedule)
+        grid = grid_of(n_steps, t_min=1e-3, gap=1e-3)
+        xT = rng.standard_normal(d)
+        m = prob.mean_given_endpoint(xT)
+        for shape in ((37, d), (6, 6, d)):
+            x0 = m + rng.standard_normal(shape)
+            rows = np.stack([encode(schedule, oracle, row, xT, grid) for row in x0.reshape(-1, d)])
+            assert encode(schedule, oracle, x0, xT, grid).tobytes() == rows.tobytes()
+        # n = d, where a matrix solve would take the batch for the right-hand side
+        x0 = m + rng.standard_normal((d, d))
+        rec = decode(schedule, oracle, encode(schedule, oracle, x0, xT, grid), xT, grid)
+        assert np.all(np.linalg.norm(rec - x0, axis=1) <= 1e-10 * np.linalg.norm(x0, axis=1))
+
+    def test_singular_step_raises(self):
+        grid = grid_of(10)
+        n = 4
+        table = samplers._GridCoeffs.build(BB, grid)
+        kappa = table.c[n] / table.c[n + 1]
+        gain = table.b[n] - kappa * table.b[n + 1]
+        # step n's matrix κI + gain · P, formed as encode forms it, has a zero
+        # first row: an exact zero pivot
+        P = np.diag([-kappa / gain, 0.0])
+        assert not (kappa * np.eye(2) + gain * P)[0].any()
+
+        class SingularAtOneStep:
+            def predict(self, x, t, xT):
+                return np.zeros_like(x)
+
+            def linearize(self, t, xT):
+                return (P if t == grid.times[n + 1] else np.zeros((2, 2))), np.zeros(2)
+
+        with pytest.raises(SingularSystem, match=f"encode step {n} -> {n + 1} is not invertible"):
+            encode(BB, SingularAtOneStep(), np.ones((3, 2)), np.ones(2), grid)
 
     def test_encode_requires_linearize(self):
         xT = np.array([1.0])
