@@ -59,6 +59,9 @@ MAX_STEPS = 10 ** 6
 # rows per formatting call of _write_csv: bounds its temporary string to
 # tens of KB, and an array's Python rows to one block
 _CSV_BLOCK = 1024
+# draws per encode/decode call of roundtrip, which bounds its per-step
+# temporaries; batch rows equal one-draw calls, so no output byte depends on it
+_LATENT_BLOCK = 256
 
 
 @dataclass
@@ -311,8 +314,8 @@ def load_config(raw: dict, out_override: str | None = None, seed_override: int |
 def _typed_options(options: dict, dim: int) -> dict:
     """``options``, defaults filled in, with each value checked and typed in place.
 
-    The counts are row counts of arrays of dimension ``dim``; a diversity
-    score needs at least two samples per condition.
+    The counts, and the number of weights, are row counts of arrays of
+    dimension ``dim``; a diversity score needs at least two samples per condition.
     """
     for key, least in (("n_points", 1), ("n_conditions", 1), ("samples_per_condition", 2)):
         if key in options:
@@ -330,6 +333,7 @@ def _typed_options(options: dict, dim: int) -> dict:
         weights = options["weights"]
         if not isinstance(weights, list):
             raise ConfigInvalid(f"options.weights must be a list, got {weights!r}")
+        _rows(len(weights), "options.weights entries", dim, least=0)
         options["weights"] = [_number(w, "options.weights entry") for w in weights]
         # slerp takes sin(w θ) and sin((1 − w) θ) for an angle θ in [0, π]
         for w in options["weights"]:
@@ -487,10 +491,12 @@ def _exp_roundtrip(cfg: RunConfig, predictor):
     rng = np.random.default_rng(cfg.seed)
     draws = cfg.problem.sample_x0(cfg.x_T, cfg.n_trajectories, rng)
     errs = np.empty((cfg.n_trajectories, 1))
-    for i, x0 in enumerate(draws):
-        eps = encode(cfg.schedule, predictor, x0, cfg.x_T, cfg.grid)
+    for lo in range(0, cfg.n_trajectories, _LATENT_BLOCK):
+        block = draws[lo:lo + _LATENT_BLOCK]
+        eps = encode(cfg.schedule, predictor, block, cfg.x_T, cfg.grid)
         x_rec = decode(cfg.schedule, predictor, eps, cfg.x_T, cfg.grid)
-        errs[i] = np.linalg.norm(x_rec - x0) / max(np.linalg.norm(x0), 1.0)
+        for i, (rec, x0) in enumerate(zip(x_rec, block), lo):
+            errs[i] = np.linalg.norm(rec - x0) / max(np.linalg.norm(x0), 1.0)
     header = ["traj_id", "recon_rel_err"]
     return "roundtrip.csv", header, errs, {"max_recon_rel_err": float(errs.max())}
 
@@ -500,11 +506,9 @@ def _exp_interpolate(cfg: RunConfig, predictor):
     rng = np.random.default_rng(cfg.seed)
     eps_a = rng.standard_normal(cfg.problem.dim)
     eps_b = rng.standard_normal(cfg.problem.dim)
-    rows = []
-    for w in weights:
-        eps = slerp_interpolate(eps_a, eps_b, w)
-        x = decode(cfg.schedule, predictor, eps, cfg.x_T, cfg.grid)
-        rows.append([w, *x.tolist()])
+    eps = np.reshape([slerp_interpolate(eps_a, eps_b, w) for w in weights], (len(weights), cfg.problem.dim))
+    x = decode(cfg.schedule, predictor, eps, cfg.x_T, cfg.grid)
+    rows = [[w, *row] for w, row in zip(weights, x.tolist())]
     header = ["w"] + [f"coord_{i}" for i in range(cfg.problem.dim)]
     return "interpolate.csv", header, rows, {"n_weights": float(len(weights))}
 

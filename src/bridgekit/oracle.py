@@ -189,7 +189,7 @@ def _score(a: float, b: float, c: float, x: np.ndarray, xT: np.ndarray, x_hat: n
 class GaussianOracle:
     """Exact data predictor E[x₀ | x_t, x_T] for a Gaussian bridge problem.
 
-    Deterministic and pure; accepts states of shape (d,) or batched (B, d).
+    Deterministic and pure; accepts states of shape (d,) or any batch (…, d).
     ``linearize`` exposes the affine map x ↦ P x + q of ``predict`` at a
     fixed (t, x_T), which the deterministic encoder inverts step by step.
     ``prepare`` fills the per-time table from a grid's coefficient table.
@@ -233,13 +233,13 @@ class GaussianOracle:
         return self._tiles[1]
 
     def linearize(self, t: float, xT: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Affine decomposition predict(x) = P x + q at fixed (t, x_T)."""
+        """Affine decomposition predict(x) = P x + q at fixed (t, x_T); an (n, d) x_T gives one q per row."""
         xT = np.asarray(xT, dtype=float)
         _, m = self._endpoint_tiles(xT, xT.shape)
         a, b, P = self._at(t)
         if P is None:
             return np.zeros((self.problem.dim,) * 2), m.copy()
-        return P, m - P @ (a * xT + b * m)
+        return P, m - (a * xT + b * m) @ P.T
 
     def prepare(self, table) -> None:
         """Fill the per-time table with the (a, b, c) of ``table`` and their gains.

@@ -345,7 +345,7 @@ class _CountingPredictor:
 
 
 def _run_chunk(method, grid, eta, schedule, predictor, xT, eps_boot, normals, record):
-    """Carry boot noises ``eps_boot`` (shape (n, d), or (d,) for one state) from T to t_0.
+    """Carry boot noises ``eps_boot`` (shape (…, d), (d,) for one state) from T to t_0.
 
     The whole batch advances one grid step at a time, with one predictor
     call per step (two for Heun).  It builds the coefficient table, from
@@ -512,11 +512,15 @@ def decode(
     xT: np.ndarray,
     grid: TimeGrid,
 ) -> np.ndarray:
-    """Deterministic (η = 0) generation from a given booting noise."""
+    """Deterministic (η = 0) generation from one (d,) booting noise or any (…, d) batch.
+
+    The engine runs on the noises laid out as (…, 1, d): each predictor product
+    is a stack of one-row products, so every row is bit-identical to a one-row call.
+    """
     xT = np.asarray(xT, dtype=float)
-    eps = np.asarray(eps, dtype=float)
+    eps = np.atleast_1d(np.asarray(eps, dtype=float))[..., None, :]
     x, _, _ = _run_chunk(Method.DBIM1, grid, 0.0, schedule, predictor, xT, eps, None, False)
-    return x
+    return x[..., 0, :]
 
 
 def encode(

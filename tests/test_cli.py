@@ -392,6 +392,13 @@ class TestConfigValidation:
         for cfg in (too_many, too_deep, sweep_too_deep, states_too_many, states_too_deep):
             with pytest.raises(ConfigInvalid, match="at most"):
                 load_config(cfg)
+        # interpolate decodes all its weights as one batch: at d = 2, 3 weights
+        # fit a bound of 6 entries and 4 do not; no weights is no rows
+        monkeypatch.setattr(bridgekit.cli, "MAX_BATCH_ENTRIES", 6)
+        for weights in ([], [0.0, 0.5, 1.0]):
+            assert load_config(experiment_config("interpolate", options={"weights": weights})).options["weights"] == weights
+        with pytest.raises(ConfigInvalid, match="options.weights entries × dimension must be at most 6, got 4 × 2"):
+            load_config(experiment_config("interpolate", options={"weights": [0.0, 0.25, 0.5, 1.0]}))
         # the sweep's total is checked before any of its grids is built
         built = []
         monkeypatch.setattr(bridgekit.cli, "make_grid", lambda *args, **kw: built.append(args))
@@ -735,8 +742,9 @@ class TestExperiments:
     # both tables are written from the experiment's own array, as sample.csv
     # is.  Per row, what is left is mostly the oracle's per-time table and
     # the coeffs cache (about 480 B per drift-check point, which draws a new
-    # t each) or the draws and errors (about 72 B per roundtrip trajectory);
-    # a Python row per point or trajectory held about 820 and 166 B
+    # t each) or the draws and errors (about 75 B per roundtrip trajectory,
+    # whose encode and decode run in blocks of 256 draws); a Python row per
+    # point or trajectory held about 820 and 166 B
     @pytest.mark.parametrize("experiment,overrides,n,bound,csv_name", [
         ("drift-check", {"options": {"n_points": 5000}}, 5000, 650, "drift_check.csv"),
         ("roundtrip", {"n_trajectories": 2000, "grid": {"kind": "uniform_boot", "n_steps": 4}}, 2000, 120,
@@ -810,8 +818,17 @@ class TestExperiments:
         assert main(["run", "--config", str(write_config(tmp_path, cfg_raw)), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["metrics"]["max_recon_rel_err"] <= 1e-12
-        # per draw, one prediction (at T) to encode and N to decode
-        assert report["predictor_calls"] == n * (n_steps + 1)
+        # the n draws fit one block: one batched prediction (at T) to encode
+        # and N to decode, each counted once
+        assert report["predictor_calls"] == n_steps + 1
+
+    def test_roundtrip_runs_one_pass_per_block(self, tmp_path):
+        # one encode and one decode per block of draws, not one per draw
+        n, n_steps = bridgekit.cli._LATENT_BLOCK + 1, 3
+        cfg_raw = experiment_config("roundtrip", n_trajectories=n, grid={"kind": "uniform_boot", "n_steps": n_steps})
+        assert run(load_config(cfg_raw, out_override=str(tmp_path / "o"))) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["predictor_calls"] == 2 * (n_steps + 1)
 
     def test_interpolate_schema(self, tmp_path):
         cfg_raw = experiment_config("interpolate")
@@ -821,6 +838,11 @@ class TestExperiments:
         header, rows = read_rows(tmp_path / "o" / "interpolate.csv")
         assert header == ["w", "coord_0", "coord_1"]
         assert [float(r[0]) for r in rows] == [0.0, 0.5, 1.0]
+
+    def test_interpolate_without_weights_writes_the_header(self, tmp_path):
+        cfg = load_config(experiment_config("interpolate", options={"weights": []}), out_override=str(tmp_path / "o"))
+        assert run(cfg) == 0
+        assert (tmp_path / "o" / "interpolate.csv").read_bytes() == b"w,coord_0,coord_1\r\n"
 
     def test_diversity_schema(self, tmp_path):
         cfg_raw = experiment_config("diversity")

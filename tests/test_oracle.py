@@ -287,6 +287,21 @@ class TestLinearize:
                     P @ x + q, oracle.predict(x, t, xT), rtol=1e-10, atol=1e-12
                 )
 
+    @pytest.mark.parametrize("n", [4, 7])
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
+    def test_batched_endpoints_give_per_row_offsets(self, perturbed, n):
+        # n = d, where a product taking the batch for columns would still run
+        rng = np.random.default_rng(n)
+        oracle = GaussianOracle(random_problem(rng, 4), BB)
+        if perturbed:
+            oracle = PerturbedOracle(oracle, eps_bias=0.1, seed=5)
+        xT = rng.standard_normal((n, 4))
+        for t in (0.15, 0.5, 0.85):
+            P, q = oracle.linearize(t, xT)
+            rows = np.stack([oracle.linearize(t, row)[1] for row in xT])
+            # relative to each row's norm: an entry near 0 comes from cancellation
+            assert np.all(np.linalg.norm(q - rows, axis=1) <= 1e-14 * np.linalg.norm(rows, axis=1))
+
 
 def reference_gain(problem, b, c):
     """b S (b² S + c² I)⁻¹ by ``dpotrf`` then ``dpotrs``, one system at a time."""

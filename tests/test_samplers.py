@@ -502,6 +502,9 @@ class TestEncodeDecode:
             x0 = m + rng.standard_normal(shape)
             rows = np.stack([encode(schedule, oracle, row, xT, grid) for row in x0.reshape(-1, d)])
             assert encode(schedule, oracle, x0, xT, grid).tobytes() == rows.tobytes()
+            eps = rng.standard_normal(shape)
+            rows = np.stack([decode(schedule, oracle, row, xT, grid) for row in eps.reshape(-1, d)])
+            assert decode(schedule, oracle, eps, xT, grid).tobytes() == rows.tobytes()
         # n = d, where a matrix solve would take the batch for the right-hand side
         x0 = m + rng.standard_normal((d, d))
         rec = decode(schedule, oracle, encode(schedule, oracle, x0, xT, grid), xT, grid)
